@@ -35,9 +35,6 @@ def build_cases(rng):
     img_f = img.astype(np.float64)
     grid = rng.normal(size=(32, 32, 1024))
     signal = rng.normal(size=48000 * 4)
-    hashes = rng.integers(0, int(_kernels.MINHASH_PRIME), size=2000).astype(np.uint64)
-    a = rng.integers(1, int(_kernels.MINHASH_PRIME), size=128).astype(np.uint64)
-    b = rng.integers(0, int(_kernels.MINHASH_PRIME), size=128).astype(np.uint64)
     ref = rng.integers(0, 50, size=400).astype(np.int64)
     hyp = rng.integers(0, 50, size=400).astype(np.int64)
 
@@ -60,13 +57,6 @@ def build_cases(rng):
             "sinc_resample 4 s 48 kHz -> 16 kHz",
             lambda: _kernels._resample_np(signal, 1 / 3, 64000),
             (lambda: _kernels._resample_nb(signal, 1 / 3, 64000))
-            if _kernels.HAVE_NUMBA
-            else None,
-        ),
-        (
-            "minhash 2000 shingles x 128 perms",
-            lambda: _kernels._minhash_np(hashes, a, b),
-            (lambda: _kernels._minhash_nb(hashes, a, b))
             if _kernels.HAVE_NUMBA
             else None,
         ),

@@ -233,49 +233,6 @@ else:
 
 
 # ---------------------------------------------------------------------------
-# MinHash signatures: sig[p] = min over shingle hashes h of (a[p]*h + b[p]) mod prime
-# hashes and coefficients live below 2^31 - 1 so a*h + b stays inside uint64.
-
-MINHASH_PRIME = np.uint64((1 << 31) - 1)
-
-
-def _minhash_np(hashes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    vals = (hashes[:, None] * a[None, :] + b[None, :]) % MINHASH_PRIME
-    return vals.min(axis=0)
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _minhash_nb(hashes, a, b):  # pragma: no cover - jit
-        prime = (np.uint64(1) << np.uint64(31)) - np.uint64(1)
-        n_perm = len(a)
-        sig = np.empty(n_perm, dtype=np.uint64)
-        for p in range(n_perm):
-            best = prime
-            for i in range(len(hashes)):
-                v = (hashes[i] * a[p] + b[p]) % prime
-                if v < best:
-                    best = v
-            sig[p] = best
-        return sig
-
-    def minhash_signature(hashes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _minhash_nb(
-            np.ascontiguousarray(hashes, dtype=np.uint64),
-            np.ascontiguousarray(a, dtype=np.uint64),
-            np.ascontiguousarray(b, dtype=np.uint64),
-        )
-
-else:
-
-    def minhash_signature(hashes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _minhash_np(
-            hashes.astype(np.uint64), a.astype(np.uint64), b.astype(np.uint64)
-        )
-
-
-# ---------------------------------------------------------------------------
 # Levenshtein alignment with deterministic tie-breaking
 # op codes in backtrace: 0 = match/substitute, 1 = delete (ref only), 2 = insert
 

@@ -175,6 +175,13 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.wer_threshold <= 1.0:
             raise ValueError(f"wer_threshold must be in (0, 1], got {self.wer_threshold}")
+        if not 0.0 < self.cluster_jaccard_threshold <= 1.0:
+            raise ValueError(
+                "cluster_jaccard_threshold must be in (0, 1], "
+                f"got {self.cluster_jaccard_threshold}"
+            )
+        if not isinstance(self.shingle_n, int) or self.shingle_n < 1:
+            raise ValueError(f"shingle_n must be an integer >= 1, got {self.shingle_n}")
         if not 1 <= self.max_slices <= 9:
             raise ValueError(f"max_slices must be in 1..9, got {self.max_slices}")
         if self.video_frame_cap < 1:

@@ -1,20 +1,19 @@
 """Staged manifest curation: exact dedup, near-duplicate clustering, and
 consistency filters for speech-recognition and speech-translation samples.
 
-Near-duplicate detection runs MinHash/LSH only to propose candidate pairs;
-every candidate is verified against the exact Jaccard similarity, so results
-are identical to the O(n^2) brute force regardless of banding.
+Near-duplicate detection is an exact prefix-filter join: its candidate pairs
+provably include every pair at or above the Jaccard threshold, and each is
+verified by its exact shingle overlap, so results are identical to the O(n^2)
+brute force.
 """
 
 from __future__ import annotations
 
-import zlib
+import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import _kernels
 from .manifest import (
     DedupNormalization,
     FilterVerdict,
@@ -25,8 +24,6 @@ from .manifest import (
 )
 from .metrics import cer, jaccard_shingles, ngram_cosine, normalize, wer
 
-MINHASH_SEED = 0x5EED
-N_PERMUTATIONS = 128
 _HIST_BUCKETS = 10
 
 
@@ -108,16 +105,6 @@ def _dedup_exact_full(records, mode):
     return kept, dropped, report
 
 
-def _shingle_hashes(text: str, n: int) -> np.ndarray:
-    grams = {text[i : i + n] for i in range(len(text) - n + 1)}
-    if not grams:
-        grams = {text}
-    prime = int(_kernels.MINHASH_PRIME)
-    return np.array(
-        sorted(zlib.crc32(g.encode("utf-8")) % prime for g in grams), dtype=np.uint64
-    )
-
-
 def exact_jaccard(a: str, b: str, n: int) -> float:
     """Shingle Jaccard with short-string fallback: texts below n characters
     compare by equality."""
@@ -126,13 +113,68 @@ def exact_jaccard(a: str, b: str, n: int) -> float:
     return jaccard_shingles(a, b, n)
 
 
-def _pick_band_rows(threshold: float) -> int:
-    # widest rows-per-band whose false-negative odds at the threshold are < 1e-9
-    for rows in (8, 4, 2):
-        bands = N_PERMUTATIONS // rows
-        if (1.0 - threshold**rows) ** bands < 1e-9:
-            return rows
-    return 1
+def _min_overlap(size: int, threshold: float) -> int:
+    """Smallest a with a / size >= threshold in floating point.
+
+    If |y| <= |x| = size, the float Jaccard inter / (|x| + |y| - inter) is at
+    most inter / |x| and at most |y| / |x| (rounding keeps the order), so a
+    pair reaching the threshold has inter >= a and |y| >= a, boundary pairs
+    such as J = 4/5 at threshold 0.8 included.
+    """
+    a = math.ceil(threshold * size)
+    while a > 1 and (a - 1) / size >= threshold:
+        a -= 1
+    while a / size < threshold:
+        a += 1
+    return a
+
+
+def _similar_pairs(texts: list[str], threshold: float, n: int):
+    """Yield index pairs whose exact_jaccard reaches the threshold: every such
+    pair of texts of n or more characters, and each shorter text paired with
+    the first text equal to it.
+
+    The longer texts join by prefix filtering (Bayardo, Ma & Srikant, WWW
+    2007). Shingles rank rarest first; sets sharing a = _min_overlap tokens
+    share one among the first |x| - a + 1 of each. Texts are visited shortest
+    first, so a posting too short for the current text ends its list's scan.
+    """
+    short: dict[str, int] = {}
+    long_ids: list[int] = []
+    df: Counter[str] = Counter()
+    for i, text in enumerate(texts):
+        if len(text) < n:
+            first = short.setdefault(text, i)
+            if first != i:
+                yield first, i
+        else:
+            long_ids.append(i)
+            df.update({text[k : k + n] for k in range(len(text) - n + 1)})
+    rank = {g: r for r, g in enumerate(sorted(df, key=lambda g: (df[g], g)))}
+    del df
+    tokens = [
+        tuple(sorted({rank[t[k : k + n]] for k in range(len(t) - n + 1)}))
+        for t in (texts[i] for i in long_ids)
+    ]
+    del rank
+    index: dict[int, list[int]] = {}
+    for x in sorted(range(len(tokens)), key=lambda k: (len(tokens[k]), k)):
+        xt = tokens[x]
+        size = len(xt)
+        need = _min_overlap(size, threshold)
+        candidates = set()
+        for tok in xt[: size - need + 1]:
+            postings = index.setdefault(tok, [])
+            for y in reversed(postings):
+                if len(tokens[y]) < need:
+                    break
+                candidates.add(y)
+            postings.append(x)
+        xset = set(xt)
+        for y in candidates:
+            inter = len(xset.intersection(tokens[y]))
+            if inter / (size + len(tokens[y]) - inter) >= threshold:
+                yield long_ids[y], long_ids[x]
 
 
 class _UnionFind:
@@ -168,32 +210,13 @@ def cluster_prune(
 def _cluster_prune_full(records, jaccard_threshold, shingle_n):
     if not 0.0 < jaccard_threshold <= 1.0:
         raise ValueError(f"jaccard_threshold must be in (0, 1], got {jaccard_threshold}")
+    if shingle_n < 1:
+        raise ValueError(f"shingle_n must be >= 1, got {shingle_n}")
     report = FilterReport(stage="near-duplicate-cluster", input_count=len(records))
-    n = len(records)
     texts = [normalize(r.text) for r in records]
-    prime = int(_kernels.MINHASH_PRIME)
-    rng = np.random.default_rng(MINHASH_SEED)
-    a = rng.integers(1, prime, size=N_PERMUTATIONS, dtype=np.uint64)
-    b = rng.integers(0, prime, size=N_PERMUTATIONS, dtype=np.uint64)
-    signatures = [
-        _kernels.minhash_signature(_shingle_hashes(t, shingle_n), a, b) for t in texts
-    ]
-    rows = _pick_band_rows(jaccard_threshold)
-    uf = _UnionFind(n)
-    checked: set[tuple[int, int]] = set()
-    for band_start in range(0, N_PERMUTATIONS, rows):
-        buckets: dict[bytes, list[int]] = {}
-        for i, sig in enumerate(signatures):
-            buckets.setdefault(sig[band_start : band_start + rows].tobytes(), []).append(i)
-        for members in buckets.values():
-            for pos, i in enumerate(members):
-                for j in members[pos + 1 :]:
-                    pair = (i, j)
-                    if pair in checked:
-                        continue
-                    checked.add(pair)
-                    if exact_jaccard(texts[i], texts[j], shingle_n) >= jaccard_threshold:
-                        uf.union(i, j)
+    uf = _UnionFind(len(records))
+    for i, j in _similar_pairs(texts, jaccard_threshold, shingle_n):
+        uf.union(i, j)
     cluster_ids: dict[int, int] = {}
     assignments = []
     kept = []
@@ -219,9 +242,12 @@ def _cluster_prune_full(records, jaccard_threshold, shingle_n):
     return kept, dropped, assignments, report
 
 
-def _asr_verdict(record: SampleRecord, threshold: float) -> FilterVerdict | None:
+def _asr_verdict(record: SampleRecord, threshold: float) -> FilterVerdict | str:
+    """The error-rate verdict, or the drop reason when no rate is defined."""
     if record.hypothesis is None:
-        return None
+        return "no-hypothesis"
+    if not normalize(record.text):
+        return "empty-reference"
     if record.language is Language.ZH:
         summary, name = cer(record.text, record.hypothesis), "cer"
     else:
@@ -232,9 +258,9 @@ def _asr_verdict(record: SampleRecord, threshold: float) -> FilterVerdict | None
     )
 
 
-def _s2tt_verdict(record: SampleRecord, threshold: float) -> FilterVerdict | None:
+def _s2tt_verdict(record: SampleRecord, threshold: float) -> FilterVerdict | str:
     if record.translation is None:
-        return None
+        return "no-translation"
     sim = ngram_cosine(normalize(record.text), normalize(record.translation), n=3)
     return FilterVerdict(
         kept=sim >= threshold, stage="s2tt-filter",
@@ -249,17 +275,17 @@ def _map_verdicts(records, fn, jobs):
     return [fn(r) for r in records]
 
 
-def _metric_filter(records, verdict_fn, stage, missing_reason, drop_reason, jobs):
+def _metric_filter(records, verdict_fn, stage, drop_reason, jobs):
+    """Partition by verdict_fn, which returns a metric verdict or, for a
+    record it cannot score, the reason to drop it unscored."""
     report = FilterReport(stage=stage, input_count=len(records))
     verdicts = _map_verdicts(records, verdict_fn, jobs)
     kept, dropped = [], []
     for rec, verdict in zip(records, verdicts):
-        if verdict is None:
-            report.record_drop(missing_reason)
+        if isinstance(verdict, str):
+            report.record_drop(verdict)
             dropped.append(
-                rec.with_verdict(
-                    FilterVerdict(kept=False, stage=stage, metric_name=missing_reason)
-                )
+                rec.with_verdict(FilterVerdict(kept=False, stage=stage, metric_name=verdict))
             )
             continue
         report.record_metric(min(max(verdict.metric_value, 0.0), 1.0))
@@ -279,10 +305,12 @@ def filter_asr(
 
     Chinese samples are scored by character error rate, other languages by
     word error rate; a rate strictly above the threshold drops the sample.
+    Samples without a hypothesis, or whose reference is empty after
+    normalization, are dropped unscored.
     """
     kept, _, report = _metric_filter(
         records, lambda r: _asr_verdict(r, threshold),
-        "asr-filter", "no-hypothesis", "error-rate-above-threshold", jobs,
+        "asr-filter", "error-rate-above-threshold", jobs,
     )
     return kept, report
 
@@ -293,7 +321,7 @@ def filter_s2tt(
     """Keep translation samples whose target text is similar to the reference."""
     kept, _, report = _metric_filter(
         records, lambda r: _s2tt_verdict(r, threshold),
-        "s2tt-filter", "no-translation", "low-similarity", jobs,
+        "s2tt-filter", "low-similarity", jobs,
     )
     return kept, report
 
@@ -320,11 +348,11 @@ def curate(
     s2tt_in = [r for r in kept if r.scenario is Scenario.S2TT]
     asr_kept, asr_dropped, asr_report = _metric_filter(
         asr_in, lambda r: _asr_verdict(r, config.wer_threshold),
-        "asr-filter", "no-hypothesis", "error-rate-above-threshold", jobs,
+        "asr-filter", "error-rate-above-threshold", jobs,
     )
     s2tt_kept, s2tt_dropped, s2tt_report = _metric_filter(
         s2tt_in, lambda r: _s2tt_verdict(r, config.s2tt_similarity_threshold),
-        "s2tt-filter", "no-translation", "low-similarity", jobs,
+        "s2tt-filter", "low-similarity", jobs,
     )
     surviving = {r.id: r for r in asr_kept + s2tt_kept}
     fc_dropped_by_id = {r.id: r for r in asr_dropped + s2tt_dropped}

@@ -175,3 +175,62 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(dest.read_text())["rows"] == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--shingle-n", "0"),
+        ("--shingle-n", "-2"),
+        ("--cluster-jaccard-threshold", "0"),
+        ("--cluster-jaccard-threshold", "1.5"),
+    ],
+)
+def test_filter_rejects_invalid_cluster_config(tmp_path, capsys, flag, value):
+    src = tmp_path / "in.jsonl"
+    write_manifest([make_record(id="a", text="some text here")], src)
+    kept_path = tmp_path / "kept.jsonl"
+    code, _, err = run(
+        capsys, "filter", "--manifest", str(src), "--out", str(kept_path), flag, value
+    )
+    assert code == 1
+    assert err.startswith("error: invalid config: ")
+    assert len(err.splitlines()) == 1
+    assert not kept_path.exists()
+
+
+def test_filter_rejects_fractional_shingle_n(tmp_path, capsys):
+    src = tmp_path / "in.jsonl"
+    write_manifest([], src)
+    argv = ["filter", "--manifest", str(src), "--out", str(tmp_path / "kept.jsonl")]
+    # a non-integer flag value is a usage error from the argument parser
+    with pytest.raises(SystemExit) as exc:
+        dispatch(argv + ["--shingle-n", "1.5"])
+    assert exc.value.code == 2
+    assert "--shingle-n" in capsys.readouterr().err
+    # the same value from a config file is an invalid config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"shingle_n": 1.5}))
+    code, _, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 1
+    assert err == "error: invalid config: shingle_n must be an integer >= 1, got 1.5\n"
+
+
+def test_filter_drops_asr_record_with_empty_reference(tmp_path, capsys):
+    recs = [
+        make_record(id="a", text="clean sample text", hypothesis="clean sample text"),
+        make_record(id="b", text="  ", hypothesis="words heard"),
+    ]
+    src = tmp_path / "in.jsonl"
+    write_manifest(recs, src)
+    kept_path = tmp_path / "kept.jsonl"
+    dropped_path = tmp_path / "dropped.jsonl"
+    code, _, _ = run(
+        capsys, "filter", "--manifest", str(src), "--out", str(kept_path),
+        "--dropped", str(dropped_path), "--jobs", "1",
+    )
+    assert code == 0
+    assert [r.id for r in read_manifest(kept_path)] == ["a"]
+    (dropped,) = read_manifest(dropped_path)
+    assert dropped.id == "b"
+    assert dropped.verdict.metric_name == "empty-reference"

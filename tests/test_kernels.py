@@ -36,16 +36,6 @@ def test_resample_paths_agree(rng):
 
 
 @requires_numba
-def test_minhash_paths_agree(rng):
-    hashes = rng.integers(0, int(_kernels.MINHASH_PRIME), size=50).astype(np.uint64)
-    a = rng.integers(1, int(_kernels.MINHASH_PRIME), size=128).astype(np.uint64)
-    b = rng.integers(0, int(_kernels.MINHASH_PRIME), size=128).astype(np.uint64)
-    jit = _kernels._minhash_nb(hashes, a, b)
-    ref = _kernels._minhash_np(hashes, a, b)
-    assert np.array_equal(jit, ref)
-
-
-@requires_numba
 def test_edit_ops_paths_agree(rng):
     for _ in range(200):
         ref_seq = rng.integers(0, 3, size=rng.integers(0, 8)).astype(np.int64)

@@ -168,6 +168,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="max_slices"):
             PipelineConfig(max_slices=10)
 
+    @pytest.mark.parametrize("value", [0.0, -0.5, 1.0000001, float("nan")])
+    def test_invalid_cluster_threshold(self, value):
+        with pytest.raises(ValueError, match="cluster_jaccard_threshold"):
+            PipelineConfig(cluster_jaccard_threshold=value)
+
+    @pytest.mark.parametrize("value", [0, -2, 1.5])
+    def test_invalid_shingle_n(self, value):
+        with pytest.raises(ValueError, match="shingle_n"):
+            PipelineConfig(shingle_n=value)
+
     def test_from_file_and_overrides(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"wer_threshold": 0.2, "max_slices": 4}))

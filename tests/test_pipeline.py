@@ -1,4 +1,8 @@
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from capypipe.manifest import (
     DedupNormalization,
@@ -46,6 +50,31 @@ def brute_force_cluster_kept(texts, threshold, n):
                 if ri != rj:
                     parent[max(ri, rj)] = min(ri, rj)
     return [i for i in range(len(texts)) if find(i) == i]
+
+
+# exact fractions, so that pairs with Jaccard equal to the threshold occur
+BOUNDARY_FRACTIONS = [Fraction(1, 2), Fraction(2, 3), Fraction(4, 5), Fraction(7, 10), Fraction(1)]
+
+
+@st.composite
+def neardup_corpora(draw):
+    """Base texts of a few words and copies with up to three words replaced,
+    shuffled with short texts (some repeated) that fall below the shingle
+    size."""
+    vocab = draw(st.lists(st.text("abcde", min_size=1, max_size=4), min_size=2, max_size=10,
+                          unique=True))
+    bases = draw(st.lists(st.lists(st.sampled_from(vocab), max_size=8), min_size=1, max_size=5))
+    short = draw(st.lists(st.text("ab ", max_size=4), min_size=1, max_size=3))
+    texts = []
+    for _ in range(draw(st.integers(1, 24))):
+        if draw(st.integers(0, 4)) == 0:
+            texts.append(draw(st.sampled_from(short)))
+            continue
+        words = list(draw(st.sampled_from(bases)))
+        for _ in range(draw(st.integers(0, 3)) if words else 0):
+            words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(vocab))
+        texts.append(" ".join(words))
+    return texts
 
 
 class TestDedupExact:
@@ -130,6 +159,32 @@ class TestClusterPrune:
             expect = brute_force_cluster_kept(texts, threshold, 3)
             assert [r.id for r in kept] == [f"r{i}" for i in expect]
 
+    @pytest.mark.parametrize("fraction", BOUNDARY_FRACTIONS)
+    def test_pair_exactly_at_threshold_merged(self, fraction):
+        # single-letter shingles: B is a p-letter prefix of the q distinct letters of A
+        a = "abcdefghij"[: fraction.denominator]
+        b = a[: fraction.numerator]
+        t = float(fraction)
+        assert exact_jaccard(a, b, 1) == t
+        recs = [make_record(id="a", text=a), make_record(id="b", text=b)]
+        assert [r.id for r in cluster_prune(recs, t, 1)[0]] == ["a"]
+        if t < 1.0:
+            above = math.nextafter(t, 2.0)
+            assert [r.id for r in cluster_prune(recs, above, 1)[0]] == ["a", "b"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(corpus=neardup_corpora(), n=st.sampled_from([1, 2, 3, 5]),
+           fraction=st.sampled_from(BOUNDARY_FRACTIONS))
+    def test_matches_brute_force_on_near_duplicates(self, corpus, n, fraction):
+        recs = [make_record(id=f"r{i}", text=t) for i, t in enumerate(corpus)]
+        kept, _, _ = cluster_prune(recs, float(fraction), n)
+        expect = brute_force_cluster_kept([normalize(t) for t in corpus], float(fraction), n)
+        assert [r.id for r in kept] == [f"r{i}" for i in expect]
+
+    def test_rejects_shingle_n_below_one(self):
+        with pytest.raises(ValueError, match="shingle_n"):
+            cluster_prune([make_record(text="abc")], 0.8, 0)
+
     def test_idempotent(self, rng):
         texts = ["".join(rng.choice(list("ab"), size=8)) for _ in range(30)]
         recs = [make_record(id=f"r{i}", text=t) for i, t in enumerate(texts)]
@@ -172,6 +227,21 @@ class TestFilterAsr:
         kept, report = filter_asr([make_record(hypothesis=None)], 0.3)
         assert kept == []
         assert report.drop_reasons == {"no-hypothesis": 1}
+
+    @pytest.mark.parametrize(
+        "language, metric", [(Language.ENG, "wer"), (Language.ZH, "cer")]
+    )
+    def test_empty_reference_dropped_unscored(self, language, metric):
+        recs = [
+            make_record(id="e", language=language, text=" \t ", hypothesis="x y"),
+            make_record(id="k", language=language, text="ab cd", hypothesis="ab cd"),
+        ]
+        kept, report = filter_asr(recs, 0.3)
+        assert [r.id for r in kept] == ["k"]
+        assert kept[0].verdict.metric_name == metric
+        assert report.drop_reasons == {"empty-reference": 1}
+        # only the scored record enters the histogram
+        assert sum(report.metric_histogram) == 1
 
     def test_jobs_do_not_change_result(self):
         recs = [
