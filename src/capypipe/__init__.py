@@ -23,7 +23,6 @@ from .pipeline import (
     dedup_exact,
     filter_asr,
     filter_s2tt,
-    run_pipeline,
     stats,
 )
 from .tiler import (

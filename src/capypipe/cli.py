@@ -117,40 +117,29 @@ def cmd_budget(args: argparse.Namespace) -> int:
     records = _read_records(args.manifest)
     lines = []
     for rec in records:
-        plans: dict[str, object] = {}
+        plans: list[object] = []  # one per media ref, in manifest order
         for ref in rec.media:
+            kind = ref.kind.value.lower()
             if ref.kind is MediaKind.IMAGE:
                 if not ref.width or not ref.height:
                     raise CliError(
-                        f"record {rec.id!r}: image ref {ref.path!r} lacks dimensions",
+                        f"record {rec.id!r}: {kind} ref {ref.path!r} lacks dimensions",
                         EXIT_INVALID,
                     )
-                plans[ref.path] = plan_tiles(
-                    ref.width, ref.height, config.max_slices, config.cell_size
+                plans.append(
+                    plan_tiles(ref.width, ref.height, config.max_slices, config.cell_size)
                 )
-            elif ref.kind is MediaKind.VIDEO:
-                if ref.duration is None:
-                    raise CliError(
-                        f"record {rec.id!r}: video ref {ref.path!r} lacks duration",
-                        EXIT_INVALID,
-                    )
-                plans[ref.path] = video_mod.schedule(
-                    ref.duration, config.video_fps, config.video_frame_cap
+                continue
+            if ref.duration is None:
+                raise CliError(
+                    f"record {rec.id!r}: {kind} ref {ref.path!r} lacks duration", EXIT_INVALID
+                )
+            if ref.kind is MediaKind.VIDEO:
+                plans.append(
+                    video_mod.schedule(ref.duration, config.video_fps, config.video_frame_cap)
                 )
             else:
-                if ref.duration is None:
-                    raise CliError(
-                        f"record {rec.id!r}: audio ref {ref.path!r} lacks duration",
-                        EXIT_INVALID,
-                    )
-                plans[ref.path] = audio_mod.AudioProfile(
-                    source_rate=ref.sample_rate or audio_mod.TARGET_RATE,
-                    duration=ref.duration,
-                    resampled_len=round(ref.duration * audio_mod.TARGET_RATE),
-                    n_frames=0,
-                    n_tokens=tokens_mod.audio_budget(ref.duration),
-                    rms=0.0,
-                )
+                plans.append(tokens_mod.audio_budget(ref.duration))
         layout = tokens_mod.assemble_layout(rec, plans)
         lines.append(_dumps({"id": rec.id, **layout.to_json()}))
     _emit(lines, args.out)
@@ -231,7 +220,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     if not args.out:
         raise CliError("filter requires --out for the kept manifest", EXIT_INVALID)
     records = _read_records(args.manifest)
-    result = pipeline_mod.curate(records, config, jobs=args.jobs)
+    result = pipeline_mod.curate(records, config)
     try:
         write_manifest(result.kept, args.out)
         if args.dropped:
@@ -321,7 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("filter", formatter_class=fmt, help="run the curation pipeline")
     p.add_argument("--dropped", default=None, help="manifest for dropped records")
     p.add_argument("--report", default=None, help="directory for per-stage report JSON")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker threads")
+    p.add_argument(
+        "--jobs", type=int, default=argparse.SUPPRESS,
+        help="no effect: curation runs in one thread; accepted so existing scripts keep working",
+    )
     p.add_argument("--wer-threshold", dest="wer_threshold", type=float, default=None)
     p.add_argument(
         "--s2tt-similarity-threshold",

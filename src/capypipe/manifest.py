@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -175,6 +176,11 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.wer_threshold <= 1.0:
             raise ValueError(f"wer_threshold must be in (0, 1], got {self.wer_threshold}")
+        if not 0.0 < self.s2tt_similarity_threshold <= 1.0:
+            raise ValueError(
+                "s2tt_similarity_threshold must be in (0, 1], "
+                f"got {self.s2tt_similarity_threshold}"
+            )
         if not 0.0 < self.cluster_jaccard_threshold <= 1.0:
             raise ValueError(
                 "cluster_jaccard_threshold must be in (0, 1], "
@@ -184,6 +190,10 @@ class PipelineConfig:
             raise ValueError(f"shingle_n must be an integer >= 1, got {self.shingle_n}")
         if not 1 <= self.max_slices <= 9:
             raise ValueError(f"max_slices must be in 1..9, got {self.max_slices}")
+        if not isinstance(self.cell_size, int) or self.cell_size < 1:
+            raise ValueError(f"cell_size must be an integer >= 1, got {self.cell_size}")
+        if not 0.0 < self.video_fps < math.inf:
+            raise ValueError(f"video_fps must be finite and > 0, got {self.video_fps}")
         if self.video_frame_cap < 1:
             raise ValueError(f"video_frame_cap must be >= 1, got {self.video_frame_cap}")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .manifest import (
@@ -75,34 +74,62 @@ def _normalized_text(record: SampleRecord, mode: DedupNormalization) -> str:
     return normalize(record.text)
 
 
+# the report's drop reason for each metric; an unscored drop's metric_name is
+# its own reason
+_DROP_REASONS = {
+    "jaccard": "near-duplicate",
+    "wer": "error-rate-above-threshold",
+    "cer": "error-rate-above-threshold",
+    "ngram_cosine": "low-similarity",
+}
+_EXACT_DUPLICATE = FilterVerdict(kept=False, stage="dedup", metric_name="exact-duplicate")
+_NEAR_DUPLICATE = FilterVerdict(kept=False, stage="near-duplicate-cluster", metric_name="jaccard")
+
+
+def _partition(records, verdicts, stage):
+    """Attach each record's stage verdict and split the positions.
+
+    A verdict of None keeps the record as is. Returns the records with their
+    verdicts attached, the kept and the dropped positions (input order) and
+    the stage report, which counts each drop under its reason and each scored
+    verdict in the metric histogram.
+    """
+    report = FilterReport(stage=stage, input_count=len(records))
+    judged, kept, dropped = [], [], []
+    for i, (rec, verdict) in enumerate(zip(records, verdicts, strict=True)):
+        if verdict is None:
+            judged.append(rec)
+            kept.append(i)
+            continue
+        judged.append(rec.with_verdict(verdict))
+        if verdict.metric_value is not None:
+            report.record_metric(min(max(verdict.metric_value, 0.0), 1.0))
+        if verdict.kept:
+            kept.append(i)
+        else:
+            report.record_drop(_DROP_REASONS.get(verdict.metric_name, verdict.metric_name))
+            dropped.append(i)
+    report.kept = len(kept)
+    return judged, kept, dropped, report
+
+
+def _dedup_verdicts(records, mode):
+    seen: set[str] = set()
+    verdicts = []
+    for rec in records:
+        key = _normalized_text(rec, mode)
+        verdicts.append(_EXACT_DUPLICATE if key in seen else None)
+        seen.add(key)
+    return verdicts
+
+
 def dedup_exact(
     records: list[SampleRecord],
     mode: DedupNormalization = DedupNormalization.STANDARD,
 ) -> tuple[list[SampleRecord], FilterReport]:
     """Keep the first record for each normalized text, drop later copies."""
-    kept, _, report = _dedup_exact_full(records, mode)
-    return kept, report
-
-
-def _dedup_exact_full(records, mode):
-    report = FilterReport(stage="dedup", input_count=len(records))
-    seen: set[str] = set()
-    kept: list[SampleRecord] = []
-    dropped: list[SampleRecord] = []
-    for rec in records:
-        key = _normalized_text(rec, mode)
-        if key in seen:
-            report.record_drop("exact-duplicate")
-            dropped.append(
-                rec.with_verdict(
-                    FilterVerdict(kept=False, stage="dedup", metric_name="exact-duplicate")
-                )
-            )
-        else:
-            seen.add(key)
-            kept.append(rec)
-    report.kept = len(kept)
-    return kept, dropped, report
+    judged, kept, _, report = _partition(records, _dedup_verdicts(records, mode), "dedup")
+    return [judged[i] for i in kept], report
 
 
 def exact_jaccard(a: str, b: str, n: int) -> float:
@@ -197,57 +224,43 @@ class _UnionFind:
                 self.parent[ra] = rb
 
 
-def cluster_prune(
-    records: list[SampleRecord],
-    jaccard_threshold: float = 0.8,
-    shingle_n: int = 3,
-) -> tuple[list[SampleRecord], list[ClusterAssignment], FilterReport]:
-    """Cluster near-duplicate texts and keep one representative per cluster."""
-    kept, _, assignments, report = _cluster_prune_full(records, jaccard_threshold, shingle_n)
-    return kept, assignments, report
-
-
-def _cluster_prune_full(records, jaccard_threshold, shingle_n):
+def _cluster_verdicts(records, jaccard_threshold, shingle_n):
     if not 0.0 < jaccard_threshold <= 1.0:
         raise ValueError(f"jaccard_threshold must be in (0, 1], got {jaccard_threshold}")
     if shingle_n < 1:
         raise ValueError(f"shingle_n must be >= 1, got {shingle_n}")
-    report = FilterReport(stage="near-duplicate-cluster", input_count=len(records))
     texts = [normalize(r.text) for r in records]
     uf = _UnionFind(len(records))
     for i, j in _similar_pairs(texts, jaccard_threshold, shingle_n):
         uf.union(i, j)
     cluster_ids: dict[int, int] = {}
     assignments = []
-    kept = []
-    dropped = []
+    verdicts = []
     for i, rec in enumerate(records):
         root = uf.find(i)
-        if root not in cluster_ids:
-            cluster_ids[root] = len(cluster_ids)
-        representative = root == i
-        assignments.append(ClusterAssignment(rec.id, cluster_ids[root], representative))
-        if representative:
-            kept.append(rec)
-        else:
-            report.record_drop("near-duplicate")
-            dropped.append(
-                rec.with_verdict(
-                    FilterVerdict(
-                        kept=False, stage="near-duplicate-cluster", metric_name="jaccard"
-                    )
-                )
-            )
-    report.kept = len(kept)
-    return kept, dropped, assignments, report
+        cluster_id = cluster_ids.setdefault(root, len(cluster_ids))
+        assignments.append(ClusterAssignment(rec.id, cluster_id, root == i))
+        verdicts.append(None if root == i else _NEAR_DUPLICATE)
+    return verdicts, assignments
 
 
-def _asr_verdict(record: SampleRecord, threshold: float) -> FilterVerdict | str:
-    """The error-rate verdict, or the drop reason when no rate is defined."""
+def cluster_prune(
+    records: list[SampleRecord],
+    jaccard_threshold: float = 0.8,
+    shingle_n: int = 3,
+) -> tuple[list[SampleRecord], list[ClusterAssignment], FilterReport]:
+    """Cluster near-duplicate texts and keep one representative per cluster."""
+    verdicts, assignments = _cluster_verdicts(records, jaccard_threshold, shingle_n)
+    judged, kept, _, report = _partition(records, verdicts, "near-duplicate-cluster")
+    return [judged[i] for i in kept], assignments, report
+
+
+def _asr_verdict(record: SampleRecord, threshold: float) -> FilterVerdict:
+    """The error-rate verdict; a drop without a value when no rate is defined."""
     if record.hypothesis is None:
-        return "no-hypothesis"
+        return FilterVerdict(kept=False, stage="asr-filter", metric_name="no-hypothesis")
     if not normalize(record.text):
-        return "empty-reference"
+        return FilterVerdict(kept=False, stage="asr-filter", metric_name="empty-reference")
     if record.language is Language.ZH:
         summary, name = cer(record.text, record.hypothesis), "cer"
     else:
@@ -258,9 +271,9 @@ def _asr_verdict(record: SampleRecord, threshold: float) -> FilterVerdict | str:
     )
 
 
-def _s2tt_verdict(record: SampleRecord, threshold: float) -> FilterVerdict | str:
+def _s2tt_verdict(record: SampleRecord, threshold: float) -> FilterVerdict:
     if record.translation is None:
-        return "no-translation"
+        return FilterVerdict(kept=False, stage="s2tt-filter", metric_name="no-translation")
     sim = ngram_cosine(normalize(record.text), normalize(record.translation), n=3)
     return FilterVerdict(
         kept=sim >= threshold, stage="s2tt-filter",
@@ -268,38 +281,16 @@ def _s2tt_verdict(record: SampleRecord, threshold: float) -> FilterVerdict | str
     )
 
 
-def _map_verdicts(records, fn, jobs):
-    if jobs > 1 and len(records) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, records))
-    return [fn(r) for r in records]
-
-
-def _metric_filter(records, verdict_fn, stage, drop_reason, jobs):
-    """Partition by verdict_fn, which returns a metric verdict or, for a
-    record it cannot score, the reason to drop it unscored."""
-    report = FilterReport(stage=stage, input_count=len(records))
-    verdicts = _map_verdicts(records, verdict_fn, jobs)
-    kept, dropped = [], []
-    for rec, verdict in zip(records, verdicts):
-        if isinstance(verdict, str):
-            report.record_drop(verdict)
-            dropped.append(
-                rec.with_verdict(FilterVerdict(kept=False, stage=stage, metric_name=verdict))
-            )
-            continue
-        report.record_metric(min(max(verdict.metric_value, 0.0), 1.0))
-        if verdict.kept:
-            kept.append(rec.with_verdict(verdict))
-        else:
-            report.record_drop(drop_reason)
-            dropped.append(rec.with_verdict(verdict))
-    report.kept = len(kept)
-    return kept, dropped, report
+def _consistency_verdict(record: SampleRecord, config: PipelineConfig) -> FilterVerdict | None:
+    if record.scenario is Scenario.ASR:
+        return _asr_verdict(record, config.wer_threshold)
+    if record.scenario is Scenario.S2TT:
+        return _s2tt_verdict(record, config.s2tt_similarity_threshold)
+    return None
 
 
 def filter_asr(
-    records: list[SampleRecord], threshold: float = 0.3, jobs: int = 1
+    records: list[SampleRecord], threshold: float = 0.3
 ) -> tuple[list[SampleRecord], FilterReport]:
     """Drop samples whose external transcript disagrees with the ground truth.
 
@@ -308,88 +299,54 @@ def filter_asr(
     Samples without a hypothesis, or whose reference is empty after
     normalization, are dropped unscored.
     """
-    kept, _, report = _metric_filter(
-        records, lambda r: _asr_verdict(r, threshold),
-        "asr-filter", "error-rate-above-threshold", jobs,
-    )
-    return kept, report
+    verdicts = [_asr_verdict(r, threshold) for r in records]
+    judged, kept, _, report = _partition(records, verdicts, "asr-filter")
+    return [judged[i] for i in kept], report
 
 
 def filter_s2tt(
-    records: list[SampleRecord], threshold: float = 0.5, jobs: int = 1
+    records: list[SampleRecord], threshold: float = 0.5
 ) -> tuple[list[SampleRecord], FilterReport]:
     """Keep translation samples whose target text is similar to the reference."""
-    kept, _, report = _metric_filter(
-        records, lambda r: _s2tt_verdict(r, threshold),
-        "s2tt-filter", "low-similarity", jobs,
-    )
-    return kept, report
+    verdicts = [_s2tt_verdict(r, threshold) for r in records]
+    judged, kept, _, report = _partition(records, verdicts, "s2tt-filter")
+    return [judged[i] for i in kept], report
 
 
-def curate(
-    records: list[SampleRecord],
-    config: PipelineConfig | None = None,
-    jobs: int = 1,
-) -> PipelineResult:
+def curate(records: list[SampleRecord], config: PipelineConfig | None = None) -> PipelineResult:
     """Full pipeline: dedup, near-duplicate pruning, per-scenario consistency.
 
-    Produces three stage reports; the consistency stage routes ASR samples
-    through the error-rate filter and S2TT samples through the similarity
-    filter, passing every other scenario through untouched.
+    Produces three stage reports; the consistency stage scores ASR samples
+    by error rate and S2TT samples by similarity, passing every other
+    scenario through untouched. Records are tracked by input position, so
+    duplicate ids are kept apart and both outputs stay in input order.
     """
     config = config or PipelineConfig()
-    kept, dd_dropped, dedup_report = _dedup_exact_full(records, config.dedup_normalization)
-    kept, cl_dropped, _, cluster_report = _cluster_prune_full(
-        kept, config.cluster_jaccard_threshold, config.shingle_n
+    stages = (
+        ("dedup", lambda recs: _dedup_verdicts(recs, config.dedup_normalization)),
+        (
+            "near-duplicate-cluster",
+            lambda recs: _cluster_verdicts(
+                recs, config.cluster_jaccard_threshold, config.shingle_n
+            )[0],
+        ),
+        ("consistency-filter", lambda recs: [_consistency_verdict(r, config) for r in recs]),
     )
-
-    consistency = FilterReport(stage="consistency-filter", input_count=len(kept))
-    asr_in = [r for r in kept if r.scenario is Scenario.ASR]
-    s2tt_in = [r for r in kept if r.scenario is Scenario.S2TT]
-    asr_kept, asr_dropped, asr_report = _metric_filter(
-        asr_in, lambda r: _asr_verdict(r, config.wer_threshold),
-        "asr-filter", "error-rate-above-threshold", jobs,
+    current = list(records)
+    live = list(range(len(records)))
+    gone: list[int] = []
+    reports = []
+    for stage, verdicts_of in stages:
+        batch = [current[i] for i in live]
+        judged, kept, dropped, report = _partition(batch, verdicts_of(batch), stage)
+        for i, rec in zip(live, judged):
+            current[i] = rec
+        gone += [live[j] for j in dropped]
+        live = [live[j] for j in kept]
+        reports.append(report)
+    return PipelineResult(
+        [current[i] for i in live], [current[i] for i in sorted(gone)], reports
     )
-    s2tt_kept, s2tt_dropped, s2tt_report = _metric_filter(
-        s2tt_in, lambda r: _s2tt_verdict(r, config.s2tt_similarity_threshold),
-        "s2tt-filter", "low-similarity", jobs,
-    )
-    surviving = {r.id: r for r in asr_kept + s2tt_kept}
-    fc_dropped_by_id = {r.id: r for r in asr_dropped + s2tt_dropped}
-    final, fc_dropped = [], []
-    for rec in kept:
-        if rec.scenario in (Scenario.ASR, Scenario.S2TT):
-            if rec.id in surviving:
-                final.append(surviving[rec.id])
-            else:
-                fc_dropped.append(fc_dropped_by_id[rec.id])
-        else:
-            final.append(rec)
-    consistency.kept = len(final)
-    consistency.dropped = len(fc_dropped)
-    for rep in (asr_report, s2tt_report):
-        for reason, count in rep.drop_reasons.items():
-            consistency.drop_reasons[reason] = (
-                consistency.drop_reasons.get(reason, 0) + count
-            )
-        consistency.metric_histogram = [
-            x + y for x, y in zip(consistency.metric_histogram, rep.metric_histogram)
-        ]
-
-    dropped_by_id = {r.id: r for r in dd_dropped + cl_dropped + fc_dropped}
-    kept_ids = {r.id for r in final}
-    dropped = [dropped_by_id[r.id] for r in records if r.id not in kept_ids]
-    return PipelineResult(final, dropped, [dedup_report, cluster_report, consistency])
-
-
-def run_pipeline(
-    records: list[SampleRecord],
-    config: PipelineConfig | None = None,
-    jobs: int = 1,
-) -> tuple[list[SampleRecord], list[FilterReport]]:
-    """Curate and return (kept records, stage reports)."""
-    result = curate(records, config, jobs)
-    return result.kept, result.reports
 
 
 def stats(records: list[SampleRecord]) -> list[dict]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -129,26 +129,24 @@ def text_budget(text: str) -> int:
     return len(text.split())
 
 
-def assemble_layout(record: SampleRecord, plans: Mapping[str, object]) -> TokenLayout:
+def assemble_layout(record: SampleRecord, plans: Sequence[object]) -> TokenLayout:
     """Compose per-media budgets in manifest order, then the text estimate.
 
-    `plans` maps each media path to its TilePlan (images), AudioProfile
-    (audio), or FrameSchedule (video).
+    `plans` holds one entry per `record.media` ref, at the same position: a
+    TilePlan (image), a FrameSchedule (video) or the audio token count.
     """
+    if len(plans) != len(record.media):
+        raise ValueError(
+            f"record {record.id!r} has {len(record.media)} media refs, got {len(plans)} plans"
+        )
     segments: list[tuple[SegmentKind, int]] = []
-    for ref in record.media:
-        if ref.path not in plans:
-            raise KeyError(f"no plan for media ref {ref.path!r} on record {record.id!r}")
-        plan = plans[ref.path]
+    for ref, plan in zip(record.media, plans):
         if ref.kind is MediaKind.IMAGE:
             segments.extend(image_budget(plan).segments)
         elif ref.kind is MediaKind.VIDEO:
-            frames = len(plan.timestamps)
-            segments.extend(_unit_segments(SegmentKind.VIDEO_FRAME, frames))
-        else:
-            tokens = plan.n_tokens
-            if tokens > 0:
-                segments.append((SegmentKind.AUDIO, tokens))
+            segments.extend(_unit_segments(SegmentKind.VIDEO_FRAME, len(plan.timestamps)))
+        elif plan > 0:
+            segments.append((SegmentKind.AUDIO, plan))
     words = text_budget(record.text)
     if words > 0:
         segments.append((SegmentKind.TEXT, words))

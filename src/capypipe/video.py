@@ -40,10 +40,13 @@ def schedule(duration: float, fps: float = 1.0, cap: int = 128) -> FrameSchedule
         if duration == 0:
             return FrameSchedule((), fps, cap, truncated=False)
         return FrameSchedule((duration / 2.0,), fps, cap, truncated=False)
-    raw = [(k + 0.5) / fps for k in range(raw_count)]
     if raw_count <= cap:
-        return FrameSchedule(tuple(raw), fps, cap, truncated=False)
-    if cap == 1:
-        return FrameSchedule((raw[0],), fps, cap, truncated=True)
-    idx = sorted({round(j * (raw_count - 1) / (cap - 1)) for j in range(cap)})
-    return FrameSchedule(tuple(raw[i] for i in idx), fps, cap, truncated=True)
+        idx = range(raw_count)
+    elif cap == 1:
+        idx = [0]
+    else:
+        idx = sorted({round(j * (raw_count - 1) / (cap - 1)) for j in range(cap)})
+    # only the kept indices are turned into timestamps: O(cap) whatever the duration
+    return FrameSchedule(
+        tuple((k + 0.5) / fps for k in idx), fps, cap, truncated=raw_count > cap
+    )

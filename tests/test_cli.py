@@ -83,6 +83,44 @@ def test_budget_manifest(tmp_path, capsys):
     assert rows[1]["total"] == 3
 
 
+def _budget_one(tmp_path, capsys, *media):
+    from capypipe.manifest import Scenario
+
+    path = tmp_path / "m.jsonl"
+    write_manifest([make_record(id="a", scenario=Scenario.QA, media=media, text="")], path)
+    code, out, err = run(capsys, "budget", "--manifest", str(path))
+    assert (code, err) == (0, "")
+    return json.loads(out)["segments"]
+
+
+def test_budget_image_and_audio_sharing_a_path(tmp_path, capsys):
+    from capypipe.manifest import MediaKind, MediaRef
+
+    segments = _budget_one(
+        tmp_path, capsys,
+        MediaRef(kind=MediaKind.IMAGE, path="m", width=448, height=448),
+        MediaRef(kind=MediaKind.AUDIO, path="m", duration=2.0),
+    )
+    assert segments == [
+        {"kind": "ImageUnit", "count": 256},
+        {"kind": "RowBreak", "count": 16},
+        {"kind": "Audio", "count": 50},
+    ]
+
+
+def test_budget_videos_sharing_a_path(tmp_path, capsys):
+    from capypipe.manifest import MediaKind, MediaRef
+
+    segments = _budget_one(
+        tmp_path, capsys,
+        MediaRef(kind=MediaKind.VIDEO, path="v", duration=3.0),
+        MediaRef(kind=MediaKind.VIDEO, path="v", duration=300.0),
+    )
+    frames = [s["count"] for s in segments if s["kind"] == "VideoFrame"]
+    # 3 frames for the short video, then the 128-frame cap for the long one
+    assert len(frames) == 3 + 128
+
+
 def test_audio_profile(tmp_path, capsys):
     import numpy as np
 
@@ -184,6 +222,7 @@ def test_out_flag_writes_file(tmp_path, capsys):
         ("--shingle-n", "-2"),
         ("--cluster-jaccard-threshold", "0"),
         ("--cluster-jaccard-threshold", "1.5"),
+        ("--s2tt-similarity-threshold", "5"),
     ],
 )
 def test_filter_rejects_invalid_cluster_config(tmp_path, capsys, flag, value):
@@ -197,6 +236,22 @@ def test_filter_rejects_invalid_cluster_config(tmp_path, capsys, flag, value):
     assert err.startswith("error: invalid config: ")
     assert len(err.splitlines()) == 1
     assert not kept_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["plan-tiles", "--width", "9", "--height", "9", "--cell-size", "0"], "cell_size"),
+        (["plan-tiles", "--width", "9", "--height", "9", "--cell-size", "-5"], "cell_size"),
+        (["budget", "--manifest", "-", "--video-fps", "0"], "video_fps"),
+    ],
+)
+def test_rejects_invalid_media_config(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: invalid config: {message} must be ")
+    assert len(err.splitlines()) == 1
 
 
 def test_filter_rejects_fractional_shingle_n(tmp_path, capsys):

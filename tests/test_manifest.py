@@ -178,6 +178,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="shingle_n"):
             PipelineConfig(shingle_n=value)
 
+    @pytest.mark.parametrize("value", [0.0, -0.1, 5.0, float("nan")])
+    def test_invalid_s2tt_threshold(self, value):
+        with pytest.raises(ValueError, match="s2tt_similarity_threshold"):
+            PipelineConfig(s2tt_similarity_threshold=value)
+
+    @pytest.mark.parametrize("value", [0, -5, 448.0])
+    def test_invalid_cell_size(self, value):
+        with pytest.raises(ValueError, match="cell_size"):
+            PipelineConfig(cell_size=value)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+    def test_invalid_video_fps(self, value):
+        with pytest.raises(ValueError, match="video_fps"):
+            PipelineConfig(video_fps=value)
+
     def test_from_file_and_overrides(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"wer_threshold": 0.2, "max_slices": 4}))

@@ -18,7 +18,6 @@ from capypipe.pipeline import (
     exact_jaccard,
     filter_asr,
     filter_s2tt,
-    run_pipeline,
     stats,
 )
 
@@ -243,17 +242,6 @@ class TestFilterAsr:
         # only the scored record enters the histogram
         assert sum(report.metric_histogram) == 1
 
-    def test_jobs_do_not_change_result(self):
-        recs = [
-            make_record(id=f"r{i}", text=f"alpha beta gamma {i}", hypothesis=f"alpha beta gamma {i+1}")
-            for i in range(50)
-        ]
-        kept1, rep1 = filter_asr(recs, 0.3, jobs=1)
-        kept8, rep8 = filter_asr(recs, 0.3, jobs=8)
-        assert kept1 == kept8
-        assert rep1.to_json() == rep8.to_json()
-
-
 class TestFilterS2tt:
     def _rec(self, text, translation, id="s1"):
         return make_record(
@@ -285,19 +273,19 @@ class TestFilterS2tt:
 
 class TestRunPipeline:
     def test_empty(self):
-        kept, reports = run_pipeline([])
-        assert kept == []
-        assert len(reports) == 3
-        assert all(r.input_count == 0 for r in reports)
+        result = curate([])
+        assert result.kept == result.dropped == []
+        assert len(result.reports) == 3
+        assert all(r.input_count == 0 for r in result.reports)
 
     def test_qa_passes_metric_stage(self):
         recs = [
             make_record(id=f"q{i}", scenario=Scenario.QA, media=(), text=f"question {i}")
             for i in range(5)
         ]
-        kept, reports = run_pipeline(recs)
-        assert [r.id for r in kept] == [f"q{i}" for i in range(5)]
-        assert reports[2].dropped == 0
+        result = curate(recs)
+        assert result.kept == recs
+        assert result.reports[2].dropped == 0
 
     def test_mixed_manifest_hand_traced(self):
         recs = [
@@ -314,7 +302,8 @@ class TestRunPipeline:
                 text="source sentence words", translation="qqqq pppp rrrr",
             ),
         ]
-        kept, reports = run_pipeline(recs, PipelineConfig())
+        result = curate(recs, PipelineConfig())
+        kept, reports = result.kept, result.reports
         # a2 dies in dedup; a3 fails WER; s2 fails similarity
         assert [r.id for r in kept] == ["a1", "q1", "s1"]
         assert reports[0].drop_reasons == {"exact-duplicate": 1}
@@ -322,6 +311,8 @@ class TestRunPipeline:
             "error-rate-above-threshold": 1,
             "low-similarity": 1,
         }
+        assert [r.id for r in result.dropped] == ["a2", "a3", "s2"]
+        assert [r.verdict.stage for r in result.dropped] == ["dedup", "asr-filter", "s2tt-filter"]
 
     def test_order_preserved_and_reasons_sum(self):
         recs = [
@@ -329,12 +320,33 @@ class TestRunPipeline:
                         hypothesis=f"text number {i}" if i % 2 else None)
             for i in range(10)
         ]
-        kept, reports = run_pipeline(recs)
-        kept_ids = [r.id for r in kept]
-        assert kept_ids == [i for i in (f"r{n}" for n in range(10)) if i in set(kept_ids)]
-        for rep in reports:
+        result = curate(recs)
+        kept_ids = [r.id for r in result.kept]
+        dropped_ids = [r.id for r in result.dropped]
+        ids = [f"r{n}" for n in range(10)]
+        assert kept_ids == [i for i in ids if i in set(kept_ids)]
+        assert dropped_ids == [i for i in ids if i in set(dropped_ids)]
+        # every input lands in exactly one of the two outputs
+        assert sorted(kept_ids + dropped_ids) == sorted(ids)
+        for rep in result.reports:
             assert rep.kept + rep.dropped == rep.input_count
             assert sum(rep.drop_reasons.values()) == rep.dropped
+
+    def test_duplicate_ids_tracked_by_position(self):
+        """Library callers may pass records sharing an id; each input is
+        judged on its own and ends in exactly one output."""
+        passing = make_record(id="x", text="same words here", hypothesis="same words here")
+        failing = make_record(id="x", text="other text entirely", hypothesis="nothing alike")
+        result = curate([passing, failing])
+        assert [r.text for r in result.kept] == [passing.text]
+        assert [r.text for r in result.dropped] == [failing.text]
+        assert result.dropped[0].verdict.metric_name == "wer"
+
+        copy = make_record(id="x", text="same words here", hypothesis="same words here")
+        result = curate([passing, copy])
+        assert len(result.kept) == 1
+        assert len(result.dropped) == 1
+        assert result.dropped[0].verdict.metric_name == "exact-duplicate"
 
     def test_dropped_records_carry_verdicts(self):
         recs = [

@@ -19,7 +19,6 @@ from capypipe.tokens import (
     unflatten,
     video_budget,
 )
-from capypipe.audio import AudioProfile
 from capypipe.video import schedule
 
 from conftest import make_record
@@ -170,45 +169,40 @@ class TestAudioBudget:
         assert 25 * t - 3 <= audio_budget(float(t)) <= 25 * t
 
 
-def _profile(duration):
-    return AudioProfile(16000, duration, int(duration * 16000), 0,
-                        audio_budget(duration), 0.0)
-
-
 class TestAssembleLayout:
     def test_text_only(self):
         rec = make_record(scenario=Scenario.QA, media=(), text="three word answer")
-        layout = assemble_layout(rec, {})
+        layout = assemble_layout(rec, [])
         assert layout.segments == ((SegmentKind.TEXT, 3),)
 
     def test_image_plus_text(self):
         ref = MediaRef(kind=MediaKind.IMAGE, path="i.ppm", width=300, height=300)
         rec = make_record(scenario=Scenario.CAPTION, media=(ref,), text="a cat")
         plan = plan_tiles(300, 300, 9, 448)
-        layout = assemble_layout(rec, {"i.ppm": plan})
+        layout = assemble_layout(rec, [plan])
         assert layout.total == 272 + 2
         assert layout.segments[-1] == (SegmentKind.TEXT, 2)
 
     def test_audio_plus_text(self):
         rec = make_record(text="ok")
-        layout = assemble_layout(rec, {"a.wav": _profile(1.0)})
+        layout = assemble_layout(rec, [audio_budget(1.0)])
         assert layout.segments[0] == (SegmentKind.AUDIO, 25)
 
     def test_video_ref(self):
         ref = MediaRef(kind=MediaKind.VIDEO, path="v.mp4", duration=10.0)
         rec = make_record(scenario=Scenario.QA, media=(ref,), text="what happens")
-        layout = assemble_layout(rec, {"v.mp4": schedule(10.0, 1.0, 128)})
+        layout = assemble_layout(rec, [schedule(10.0, 1.0, 128)])
         frames = sum(1 for k, _ in layout.segments if k is SegmentKind.VIDEO_FRAME)
         assert frames == 10
 
     def test_missing_plan_names_ref(self):
         rec = make_record()
-        with pytest.raises(KeyError, match="a.wav"):
-            assemble_layout(rec, {})
+        with pytest.raises(ValueError, match="'r1' has 1 media refs, got 0 plans"):
+            assemble_layout(rec, [])
 
     def test_total_is_sum_of_budgets(self):
         ref = MediaRef(kind=MediaKind.IMAGE, path="i.ppm", width=1344, height=1344)
         rec = make_record(scenario=Scenario.CAPTION, media=(ref,), text="one two three")
         plan = plan_tiles(1344, 1344, 9, 448)
-        layout = assemble_layout(rec, {"i.ppm": plan})
+        layout = assemble_layout(rec, [plan])
         assert layout.total == image_budget(plan).total + text_budget(rec.text)

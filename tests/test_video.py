@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,19 @@ def test_cap_preserves_endpoints():
 def test_minimum_one_frame():
     s = schedule(0.2, 1.0, 128)
     assert s.timestamps == (0.1,)
+
+
+def test_long_duration_memory_is_bounded_by_cap():
+    tracemalloc.start()
+    try:
+        s = schedule(1e6, 1.0, 128)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(s.timestamps) == 128
+    assert (s.timestamps[0], s.timestamps[-1]) == (0.5, 1e6 - 0.5)
+    # a timestamp per raw frame would take tens of MB
+    assert peak < 100_000
 
 
 def test_zero_duration():
