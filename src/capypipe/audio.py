@@ -174,8 +174,7 @@ def profile(path: str | Path) -> AudioProfile:
     duration = len(samples) / rate
     resampled = resample_16k(samples, rate)
     if len(resampled):
-        mel = log_mel(resampled)
-        n_frames = mel.n_frames
+        n_frames = _frame_count(len(resampled))
         rms = float(np.sqrt(np.mean(resampled**2)))
     else:
         n_frames = 0

@@ -236,6 +236,8 @@ def cmd_filter(args: argparse.Namespace) -> int:
                     + "\n",
                     encoding="utf-8",
                 )
+    except ManifestError as exc:
+        raise CliError(str(exc), EXIT_INVALID) from exc
     except OSError as exc:
         raise CliError(f"cannot write output: {exc}", EXIT_IO) from exc
     for rep in result.reports:

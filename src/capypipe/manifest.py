@@ -41,6 +41,27 @@ class ManifestError(Exception):
     """Raised for malformed manifest files or invalid records."""
 
 
+def _object(what: str, val: Any) -> dict[str, Any]:
+    if not isinstance(val, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(val).__name__}")
+    return val
+
+
+def _str(key: str, val: Any, optional: bool = False) -> str | None:
+    if isinstance(val, str) or (optional and val is None):
+        return val
+    raise ValueError(f"{key} must be a string, got {type(val).__name__}")
+
+
+def _number(key: str, val: Any, optional: bool = True) -> int | float | None:
+    # a bool is an int to Python, but never a count or a measure here
+    if (isinstance(val, (int, float)) and not isinstance(val, bool)) or (
+        optional and val is None
+    ):
+        return val
+    raise ValueError(f"{key} must be a number, got {type(val).__name__}")
+
+
 @dataclass(frozen=True)
 class MediaRef:
     kind: MediaKind
@@ -60,13 +81,14 @@ class MediaRef:
 
     @classmethod
     def from_json(cls, obj: dict[str, Any]) -> "MediaRef":
+        _object("media ref", obj)
         return cls(
             kind=MediaKind(obj["kind"]),
-            path=obj["path"],
-            width=obj.get("width"),
-            height=obj.get("height"),
-            duration=obj.get("duration"),
-            sample_rate=obj.get("sample_rate"),
+            path=_str("path", obj["path"]),
+            width=_number("width", obj.get("width")),
+            height=_number("height", obj.get("height")),
+            duration=_number("duration", obj.get("duration")),
+            sample_rate=_number("sample_rate", obj.get("sample_rate")),
         )
 
 
@@ -87,6 +109,7 @@ class FilterVerdict:
 
     @classmethod
     def from_json(cls, obj: dict[str, Any]) -> "FilterVerdict":
+        _object("verdict", obj)
         return cls(
             kept=obj["kept"],
             stage=obj.get("stage"),
@@ -146,16 +169,20 @@ class SampleRecord:
 
     @classmethod
     def from_json(cls, obj: dict[str, Any]) -> "SampleRecord":
+        _object("record", obj)
+        media = obj.get("media", [])
+        if not isinstance(media, list):
+            raise ValueError(f"media must be a list of objects, got {type(media).__name__}")
         extra = {k: v for k, v in obj.items() if k not in _KNOWN_KEYS}
         return cls(
-            id=obj["id"],
+            id=_str("id", obj["id"]),
             scenario=Scenario(obj["scenario"]),
             language=Language(obj["language"]),
-            media=tuple(MediaRef.from_json(m) for m in obj.get("media", [])),
-            text=obj.get("text", ""),
-            hypothesis=obj.get("hypothesis"),
-            translation=obj.get("translation"),
-            source=obj.get("source", ""),
+            media=tuple(MediaRef.from_json(m) for m in media),
+            text=_str("text", obj.get("text", "")),
+            hypothesis=_str("hypothesis", obj.get("hypothesis"), optional=True),
+            translation=_str("translation", obj.get("translation"), optional=True),
+            source=_str("source", obj.get("source", "")),
             verdict=FilterVerdict.from_json(obj["verdict"]) if "verdict" in obj else None,
             extra=extra,
         )
@@ -174,6 +201,9 @@ class PipelineConfig:
     video_frame_cap: int = 128
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            if f.type in ("int", "float"):
+                _number(f.name, getattr(self, f.name), optional=False)
         if not 0.0 < self.wer_threshold <= 1.0:
             raise ValueError(f"wer_threshold must be in (0, 1], got {self.wer_threshold}")
         if not 0.0 < self.s2tt_similarity_threshold <= 1.0:
@@ -199,7 +229,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides: Any) -> "PipelineConfig":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = _object("config file", json.loads(Path(path).read_text(encoding="utf-8")))
         if "dedup_normalization" in data:
             data["dedup_normalization"] = DedupNormalization(data["dedup_normalization"])
         known = {f.name for f in dataclasses.fields(cls)}
@@ -259,7 +289,7 @@ def read_manifest(path: str | Path) -> list[SampleRecord]:
             try:
                 obj = json.loads(line)
                 rec = SampleRecord.from_json(obj)
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ManifestError(f"{path}:{lineno}: malformed record: {exc}") from exc
             if rec.id in seen:
                 raise ManifestError(

@@ -8,8 +8,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from . import _kernels
 
 _BOUNDARY = ""
@@ -33,10 +31,7 @@ def normalize(text: str) -> str:
 
 
 def _edit_summary(ref_units: Sequence[str], hyp_units: Sequence[str]) -> EditSummary:
-    vocab: dict[str, int] = {}
-    ref_ids = np.array([vocab.setdefault(u, len(vocab)) for u in ref_units], dtype=np.int64)
-    hyp_ids = np.array([vocab.setdefault(u, len(vocab)) for u in hyp_units], dtype=np.int64)
-    s, i, d = _kernels.edit_ops(ref_ids, hyp_ids)
+    s, i, d = _kernels.edit_ops(ref_units, hyp_units)
     return EditSummary(s, i, d, len(ref_units), (s + i + d) / len(ref_units))
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .manifest import MediaKind, SampleRecord
 from .tiler import EmbeddingGrid, TilePlan
+from .video import schedule
 
 VIT_TOKENS = 1024
 COMPRESSED_GRID = (16, 16)
@@ -107,14 +108,11 @@ def image_budget(plan: TilePlan) -> TokenLayout:
 
 
 def video_budget(duration: float, fps: float = 1.0, cap: int = 128) -> TokenLayout:
-    """Token layout for a video sampled at fps, capped; frames are unsplit units."""
-    if duration < 0:
-        raise ValueError(f"duration must be >= 0, got {duration}")
-    frames = min(math.floor(duration * fps + _EPS), cap)
-    if duration > 0:
-        frames = max(frames, 1)
-    if frames == 0:
-        return _layout([])
+    """Token layout for a video sampled at fps, capped; frames are unsplit units.
+
+    The frame count is that of `video.schedule`, which also checks the arguments.
+    """
+    frames = len(schedule(duration, fps, cap).timestamps)
     return _layout(_unit_segments(SegmentKind.VIDEO_FRAME, frames))
 
 

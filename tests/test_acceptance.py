@@ -62,7 +62,7 @@ def test_audio_token_rate(tmp_path):
     ten = tmp_path / "ten.wav"
     _sine_wav(one, 440.0, 16000, 1.0)
     _sine_wav(ten, 440.0, 16000, 10.0)
-    audio.profile(one)  # warm any lazily compiled kernels before timing
+    audio.profile(one)  # warm up once before timing
     start = time.perf_counter()
     prof_one = audio.profile(one)
     prof_ten = audio.profile(ten)

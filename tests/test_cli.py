@@ -244,9 +244,15 @@ def test_filter_rejects_invalid_cluster_config(tmp_path, capsys, flag, value):
         (["plan-tiles", "--width", "9", "--height", "9", "--cell-size", "0"], "cell_size"),
         (["plan-tiles", "--width", "9", "--height", "9", "--cell-size", "-5"], "cell_size"),
         (["budget", "--manifest", "-", "--video-fps", "0"], "video_fps"),
+        (["video-schedule", "--duration", "3", "--config", {"video_fps": "x"}], "video_fps"),
+        (["video-schedule", "--duration", "3", "--config", 5], "config file"),
     ],
 )
-def test_rejects_invalid_media_config(capsys, argv, message):
+def test_rejects_invalid_media_config(tmp_path, capsys, argv, message):
+    if "--config" in argv:  # the last item is the config file's JSON content
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(cfg)]
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -289,3 +295,47 @@ def test_filter_drops_asr_record_with_empty_reference(tmp_path, capsys):
     (dropped,) = read_manifest(dropped_path)
     assert dropped.id == "b"
     assert dropped.verdict.metric_name == "empty-reference"
+
+
+_ASR_LINE = {
+    "id": "a",
+    "scenario": "ASR",
+    "language": "ENG",
+    "media": [{"kind": "Audio", "path": "a.wav"}],
+    "text": "hello world",
+}
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        [1, 2],
+        {"id": 5},
+        {"text": 5},
+        {"hypothesis": 5},
+        {"translation": ["x"]},
+        {"source": None},
+        {"media": "x"},
+        {"media": [1]},
+        {"media": [{"kind": "Image", "path": "i.png", "width": "x", "height": 9}]},
+        {"media": [{"kind": "Image", "path": "i.png", "width": 9, "height": [9]}]},
+        # read fine and kept by the filter, but an ASR record needs an audio ref
+        {"media": [], "hypothesis": "hello world"},
+    ],
+    ids=[
+        "not-an-object", "id", "text", "hypothesis", "translation", "source",
+        "media-string", "media-item", "width", "height", "asr-without-audio",
+    ],
+)
+def test_filter_rejects_malformed_manifest(tmp_path, capsys, fields):
+    line = {**_ASR_LINE, **fields} if isinstance(fields, dict) else fields
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps(line) + "\n")
+    kept_path = tmp_path / "kept.jsonl"
+    code, out, err = run(capsys, "filter", "--manifest", str(src), "--out", str(kept_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert not kept_path.exists()

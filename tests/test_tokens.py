@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,24 @@ class TestVideoBudget:
     def test_negative_duration(self):
         with pytest.raises(ValueError):
             video_budget(-1.0)
+
+    @pytest.mark.parametrize("fps, cap", [(0.0, 128), (-1.0, 128), (1.0, 0)])
+    def test_invalid_fps_or_cap(self, fps, cap):
+        with pytest.raises(ValueError, match="must be"):
+            video_budget(10.0, fps, cap)
+
+    def test_frames_follow_closed_form(self, rng):
+        # floor(duration * fps), capped, at least one frame for any positive duration
+        for _ in range(2000):
+            duration = float(rng.choice([0.0, rng.uniform(0, 3), rng.uniform(0, 600)]))
+            fps = float(rng.choice([0.5, 1.0, 2.0, rng.uniform(0.01, 10)]))
+            cap = int(rng.integers(1, 200))
+            expected = min(math.floor(duration * fps + 1e-6), cap)
+            if duration > 0:
+                expected = max(expected, 1)
+            layout = video_budget(duration, fps, cap)
+            frames = sum(1 for k, _ in layout.segments if k is SegmentKind.VIDEO_FRAME)
+            assert frames == expected, (duration, fps, cap)
 
 
 class TestAudioBudget:
