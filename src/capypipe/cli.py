@@ -20,7 +20,6 @@ from . import tokens as tokens_mod
 from . import video as video_mod
 from .manifest import (
     ManifestError,
-    MediaKind,
     PipelineConfig,
     dumps_record,
     read_manifest,
@@ -114,33 +113,12 @@ def cmd_plan_tiles(args: argparse.Namespace) -> int:
 
 def cmd_budget(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    records = _read_records(args.manifest)
     lines = []
-    for rec in records:
-        plans: list[object] = []  # one per media ref, in manifest order
-        for ref in rec.media:
-            kind = ref.kind.value.lower()
-            if ref.kind is MediaKind.IMAGE:
-                if not ref.width or not ref.height:
-                    raise CliError(
-                        f"record {rec.id!r}: {kind} ref {ref.path!r} lacks dimensions",
-                        EXIT_INVALID,
-                    )
-                plans.append(
-                    plan_tiles(ref.width, ref.height, config.max_slices, config.cell_size)
-                )
-                continue
-            if ref.duration is None:
-                raise CliError(
-                    f"record {rec.id!r}: {kind} ref {ref.path!r} lacks duration", EXIT_INVALID
-                )
-            if ref.kind is MediaKind.VIDEO:
-                plans.append(
-                    video_mod.schedule(ref.duration, config.video_fps, config.video_frame_cap)
-                )
-            else:
-                plans.append(tokens_mod.audio_budget(ref.duration))
-        layout = tokens_mod.assemble_layout(rec, plans)
+    for rec in _read_records(args.manifest):
+        try:
+            layout = tokens_mod.assemble_layout(rec, config)
+        except ValueError as exc:
+            raise CliError(str(exc), EXIT_INVALID) from exc
         lines.append(_dumps({"id": rec.id, **layout.to_json()}))
     _emit(lines, args.out)
     return EXIT_OK

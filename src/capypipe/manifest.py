@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -54,12 +54,16 @@ def _str(key: str, val: Any, optional: bool = False) -> str | None:
 
 
 def _number(key: str, val: Any, optional: bool = True) -> int | float | None:
-    # a bool is an int to Python, but never a count or a measure here
-    if (isinstance(val, (int, float)) and not isinstance(val, bool)) or (
-        optional and val is None
-    ):
+    if optional and val is None:
         return val
-    raise ValueError(f"{key} must be a number, got {type(val).__name__}")
+    # a bool is an int to Python, but never a count or a measure here
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        raise ValueError(f"{key} must be a number, got {type(val).__name__}")
+    # Python's json reads NaN and Infinity, which JSON has not; nor does any
+    # measure here exceed the float range (a huge int would overflow later)
+    if not -sys.float_info.max <= val <= sys.float_info.max:
+        raise ValueError(f"{key} must be a finite number, got {val}")
+    return val
 
 
 @dataclass(frozen=True)
@@ -110,11 +114,13 @@ class FilterVerdict:
     @classmethod
     def from_json(cls, obj: dict[str, Any]) -> "FilterVerdict":
         _object("verdict", obj)
+        if not isinstance(obj["kept"], bool):
+            raise ValueError(f"kept must be a bool, got {type(obj['kept']).__name__}")
         return cls(
             kept=obj["kept"],
-            stage=obj.get("stage"),
-            metric_name=obj.get("metric_name"),
-            metric_value=obj.get("metric_value"),
+            stage=_str("stage", obj.get("stage"), optional=True),
+            metric_name=_str("metric_name", obj.get("metric_name"), optional=True),
+            metric_value=_number("metric_value", obj.get("metric_value")),
         )
 
 
@@ -202,8 +208,12 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
-            if f.type in ("int", "float"):
-                _number(f.name, getattr(self, f.name), optional=False)
+            val = getattr(self, f.name)
+            if f.type == "float":
+                _number(f.name, val, optional=False)
+            # every int field is a count or a size
+            elif f.type == "int" and (not isinstance(val, int) or isinstance(val, bool) or val < 1):
+                raise ValueError(f"{f.name} must be an integer >= 1, got {val}")
         if not 0.0 < self.wer_threshold <= 1.0:
             raise ValueError(f"wer_threshold must be in (0, 1], got {self.wer_threshold}")
         if not 0.0 < self.s2tt_similarity_threshold <= 1.0:
@@ -216,16 +226,10 @@ class PipelineConfig:
                 "cluster_jaccard_threshold must be in (0, 1], "
                 f"got {self.cluster_jaccard_threshold}"
             )
-        if not isinstance(self.shingle_n, int) or self.shingle_n < 1:
-            raise ValueError(f"shingle_n must be an integer >= 1, got {self.shingle_n}")
-        if not 1 <= self.max_slices <= 9:
+        if self.max_slices > 9:
             raise ValueError(f"max_slices must be in 1..9, got {self.max_slices}")
-        if not isinstance(self.cell_size, int) or self.cell_size < 1:
-            raise ValueError(f"cell_size must be an integer >= 1, got {self.cell_size}")
-        if not 0.0 < self.video_fps < math.inf:
-            raise ValueError(f"video_fps must be finite and > 0, got {self.video_fps}")
-        if self.video_frame_cap < 1:
-            raise ValueError(f"video_frame_cap must be >= 1, got {self.video_frame_cap}")
+        if self.video_fps <= 0.0:
+            raise ValueError(f"video_fps must be > 0, got {self.video_fps}")
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides: Any) -> "PipelineConfig":
@@ -288,6 +292,13 @@ def read_manifest(path: str | Path) -> list[SampleRecord]:
                 continue
             try:
                 obj = json.loads(line)
+                if "\\u" in line:
+                    # only an escape can put a lone surrogate in UTF-8 text, and
+                    # one would make every later write fail
+                    try:
+                        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+                    except UnicodeEncodeError:
+                        raise ValueError("a string holds a lone surrogate escape") from None
                 rec = SampleRecord.from_json(obj)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ManifestError(f"{path}:{lineno}: malformed record: {exc}") from exc

@@ -68,8 +68,9 @@ def plan_tiles(width: int, height: int, max_slices: int = 9, cell_size: int = 44
         raise ValueError(f"image dimensions must be positive, got {width}x{height}")
     if not 1 <= max_slices <= 9:
         raise ValueError(f"max_slices must be in 1..9, got {max_slices}")
-    ideal = math.ceil(width * height / (cell_size * cell_size))
-    ideal = min(max(ideal, 1), max_slices)
+    # the area is clamped before the division, so no finite area overflows
+    cell_area = cell_size * cell_size
+    ideal = max(math.ceil(min(width * height, max_slices * cell_area) / cell_area), 1)
     if ideal == 1:
         return TilePlan(1, 1, cell_size, thumbnail=False, score=grid_score(width, height, 1, 1))
     best: tuple[float, int, int] | None = None

@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .manifest import MediaKind, SampleRecord
+from . import tiler, video
+from .manifest import MediaKind, MediaRef, PipelineConfig, SampleRecord
 from .tiler import EmbeddingGrid, TilePlan
-from .video import schedule
 
 VIT_TOKENS = 1024
 COMPRESSED_GRID = (16, 16)
@@ -112,12 +112,14 @@ def video_budget(duration: float, fps: float = 1.0, cap: int = 128) -> TokenLayo
 
     The frame count is that of `video.schedule`, which also checks the arguments.
     """
-    frames = len(schedule(duration, fps, cap).timestamps)
+    frames = len(video.schedule(duration, fps, cap).timestamps)
     return _layout(_unit_segments(SegmentKind.VIDEO_FRAME, frames))
 
 
 def audio_budget(duration: float) -> int:
     """Token count for audio: 100 frames/s, conv stride 2, then pooling stride 2."""
+    if not 0 <= duration * 100 < math.inf:
+        raise ValueError(f"duration must be >= 0 with a finite frame count, got {duration}")
     frames = math.floor(duration * 100 + _EPS)
     return (frames // 2) // 2
 
@@ -127,24 +129,36 @@ def text_budget(text: str) -> int:
     return len(text.split())
 
 
-def assemble_layout(record: SampleRecord, plans: Sequence[object]) -> TokenLayout:
-    """Compose per-media budgets in manifest order, then the text estimate.
+def _media_segments(ref: MediaRef, config: PipelineConfig) -> Sequence[tuple[SegmentKind, int]]:
+    if ref.kind is MediaKind.IMAGE:
+        if ref.width is None or ref.height is None:
+            raise ValueError("lacks dimensions")
+        plan = tiler.plan_tiles(ref.width, ref.height, config.max_slices, config.cell_size)
+        return image_budget(plan).segments
+    if ref.duration is None:
+        raise ValueError("lacks duration")
+    if ref.kind is MediaKind.VIDEO:
+        # as video_budget, without building a layout only to unpack it
+        sched = video.schedule(ref.duration, config.video_fps, config.video_frame_cap)
+        return _unit_segments(SegmentKind.VIDEO_FRAME, len(sched.timestamps))
+    count = audio_budget(ref.duration)
+    return [(SegmentKind.AUDIO, count)] if count else []
 
-    `plans` holds one entry per `record.media` ref, at the same position: a
-    TilePlan (image), a FrameSchedule (video) or the audio token count.
+
+def assemble_layout(record: SampleRecord, config: PipelineConfig) -> TokenLayout:
+    """Price each media ref in manifest order, then the text estimate.
+
+    A ref that lacks the field its kind is priced by, or whose value a budget
+    function rejects, raises ValueError naming the record and the ref.
     """
-    if len(plans) != len(record.media):
-        raise ValueError(
-            f"record {record.id!r} has {len(record.media)} media refs, got {len(plans)} plans"
-        )
     segments: list[tuple[SegmentKind, int]] = []
-    for ref, plan in zip(record.media, plans):
-        if ref.kind is MediaKind.IMAGE:
-            segments.extend(image_budget(plan).segments)
-        elif ref.kind is MediaKind.VIDEO:
-            segments.extend(_unit_segments(SegmentKind.VIDEO_FRAME, len(plan.timestamps)))
-        elif plan > 0:
-            segments.append((SegmentKind.AUDIO, plan))
+    for ref in record.media:
+        try:
+            segments.extend(_media_segments(ref, config))
+        except ValueError as exc:
+            raise ValueError(
+                f"record {record.id!r}: {ref.kind.value.lower()} ref {ref.path!r}: {exc}"
+            ) from exc
     words = text_budget(record.text)
     if words > 0:
         segments.append((SegmentKind.TEXT, words))

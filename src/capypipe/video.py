@@ -29,10 +29,12 @@ def schedule(duration: float, fps: float = 1.0, cap: int = 128) -> FrameSchedule
     `cap` of them are kept at uniformly spaced indices with both endpoints
     retained.
     """
-    if duration < 0:
-        raise ValueError(f"duration must be >= 0, got {duration}")
-    if fps <= 0:
-        raise ValueError(f"fps must be > 0, got {fps}")
+    if not 0 < fps < math.inf:
+        raise ValueError(f"fps must be finite and > 0, got {fps}")
+    if not (duration >= 0 and duration * fps < math.inf):
+        raise ValueError(
+            f"duration must be >= 0 with a finite frame count at {fps} fps, got {duration}"
+        )
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     raw_count = math.floor(duration * fps + _EPS)

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capypipe.cli import build_parser, dispatch
 from capypipe.manifest import read_manifest, write_manifest
@@ -246,6 +250,12 @@ def test_filter_rejects_invalid_cluster_config(tmp_path, capsys, flag, value):
         (["budget", "--manifest", "-", "--video-fps", "0"], "video_fps"),
         (["video-schedule", "--duration", "3", "--config", {"video_fps": "x"}], "video_fps"),
         (["video-schedule", "--duration", "3", "--config", 5], "config file"),
+        (["video-schedule", "--duration", "300", "--config", {"video_frame_cap": 2.5}],
+         "video_frame_cap"),
+        (["video-schedule", "--duration", "300", "--config", {"video_frame_cap": float("nan")}],
+         "video_frame_cap"),
+        (["plan-tiles", "--width", "2000", "--height", "1500", "--config", {"max_slices": 2.5}],
+         "max_slices"),
     ],
 )
 def test_rejects_invalid_media_config(tmp_path, capsys, argv, message):
@@ -321,10 +331,20 @@ _ASR_LINE = {
         {"media": [{"kind": "Image", "path": "i.png", "width": 9, "height": [9]}]},
         # read fine and kept by the filter, but an ASR record needs an audio ref
         {"media": [], "hypothesis": "hello world"},
+        # JSON has no NaN or Infinity, though Python's json reads and writes them
+        {"media": [{"kind": "Audio", "path": "a.wav", "duration": float("nan")}]},
+        {"media": [{"kind": "Audio", "path": "a.wav", "duration": float("inf")}]},
+        {"media": [{"kind": "Image", "path": "i.png", "width": float("nan"), "height": 9}]},
+        {"verdict": {"kept": "no", "stage": 5}},
+        {"verdict": {"kept": False, "stage": 5, "metric_name": "m"}},
+        {"verdict": {"kept": True, "metric_value": "x"}},
+        {"id": "a\ud800"},
     ],
     ids=[
         "not-an-object", "id", "text", "hypothesis", "translation", "source",
         "media-string", "media-item", "width", "height", "asr-without-audio",
+        "duration-nan", "duration-infinity", "width-nan", "verdict-kept", "verdict-stage",
+        "verdict-metric-value", "lone-surrogate",
     ],
 )
 def test_filter_rejects_malformed_manifest(tmp_path, capsys, fields):
@@ -339,3 +359,97 @@ def test_filter_rejects_malformed_manifest(tmp_path, capsys, fields):
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not kept_path.exists()
+
+
+def _budget_line(tmp_path, capsys, *media):
+    path = tmp_path / "m.jsonl"
+    line = {"id": "a", "scenario": "QA", "language": "ENG", "media": list(media), "text": "hi"}
+    path.write_text(json.dumps(line) + "\n")
+    return run(capsys, "budget", "--manifest", str(path))
+
+
+@pytest.mark.parametrize(
+    "ref, message",
+    [
+        ({"kind": "Image", "path": "i.png", "width": -5, "height": 9},
+         "image ref 'i.png': image dimensions must be positive"),
+        ({"kind": "Image", "path": "i.png", "width": 0, "height": 9},
+         "image ref 'i.png': image dimensions must be positive"),
+        ({"kind": "Image", "path": "i.png", "width": 9}, "image ref 'i.png': lacks dimensions"),
+        ({"kind": "Video", "path": "v.mp4", "duration": -3}, "video ref 'v.mp4': duration must be"),
+        ({"kind": "Video", "path": "v.mp4"}, "video ref 'v.mp4': lacks duration"),
+        ({"kind": "Audio", "path": "a.wav", "duration": -3}, "audio ref 'a.wav': duration must be"),
+        ({"kind": "Audio", "path": "a.wav", "duration": 1e308},
+         "audio ref 'a.wav': duration must be"),
+        ({"kind": "Audio", "path": "a.wav"}, "audio ref 'a.wav': lacks duration"),
+    ],
+    ids=[
+        "width-negative", "width-zero", "no-height", "video-negative", "video-no-duration",
+        "audio-negative", "audio-huge", "audio-no-duration",
+    ],
+)
+def test_budget_names_record_and_ref_it_cannot_price(tmp_path, capsys, ref, message):
+    priced = {"kind": "Audio", "path": "ok.wav", "duration": 1.0}
+    code, out, err = _budget_line(tmp_path, capsys, priced, ref)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: record 'a': {message}")
+    assert len(err.splitlines()) == 1
+
+
+def test_budget_prices_image_of_huge_finite_area(tmp_path, capsys):
+    code, out, err = _budget_line(
+        tmp_path, capsys, {"kind": "Image", "path": "i.png", "width": 1e308, "height": 1e308}
+    )
+    assert (code, err) == (0, "")
+    # the area clamps to max_slices cells: a 3x3 grid plus the thumbnail
+    assert json.loads(out)["total"] == 10 * 272 + 9 + 1
+
+
+@pytest.mark.parametrize("duration", ["inf", "nan", "-1", "1e308"])
+def test_video_schedule_rejects_uncountable_duration(capsys, duration):
+    code, out, err = run(capsys, "video-schedule", "--duration", duration, "--video-fps", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: duration must be >= 0 with a finite frame count")
+    assert len(err.splitlines()) == 1
+
+
+# the value classes a hand-edited or corrupted manifest holds; optional keys may be missing
+_FUZZ_TEXT = st.text(max_size=3) | st.sampled_from(["a\ud800", "\udfff", "\ud83d\ude00"])
+_FUZZ_VALUE = st.one_of(
+    st.integers(-3, 3),
+    st.floats(-5.0, 5000.0),
+    st.sampled_from([1e308, -1e308, 10**300, 10**400, float("nan"), float("inf"), float("-inf")]),
+    st.booleans(),
+    _FUZZ_TEXT,
+)
+_FUZZ_REF = st.fixed_dictionaries(
+    {"kind": st.sampled_from(["Image", "Video", "Audio"]), "path": _FUZZ_TEXT},
+    optional={key: _FUZZ_VALUE for key in ("width", "height", "duration", "sample_rate")},
+)
+_FUZZ_RECORD = st.fixed_dictionaries(
+    {
+        "id": _FUZZ_TEXT,
+        "scenario": st.sampled_from(["ASR", "QA", "S2TT"]),
+        "language": st.sampled_from(["ENG", "ZH_ENG"]),
+        "media": st.lists(_FUZZ_REF, max_size=3),
+        "text": _FUZZ_TEXT,
+    },
+    optional={"hypothesis": _FUZZ_TEXT},
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(records=st.lists(_FUZZ_RECORD, min_size=1, max_size=3))
+def test_fuzzed_manifest_ends_in_exit_code_not_traceback(tmp_path_factory, records):
+    work = tmp_path_factory.mktemp("fuzz")
+    src = work / "in.jsonl"
+    src.write_text("".join(json.dumps(r) + "\n" for r in records))
+    for argv in (["budget", "--out", str(work / "budget.jsonl")],
+                 ["filter", "--out", str(work / "kept.jsonl")]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = dispatch([*argv, "--manifest", str(src)])
+        assert code in (0, 1)
+        if code == 1:
+            assert len(err.getvalue().splitlines()) == 1
+            assert err.getvalue().startswith("error: ")

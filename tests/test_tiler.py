@@ -85,6 +85,11 @@ class TestPlanTiles:
         with pytest.raises(ValueError):
             plan_tiles(100, -1)
 
+    @pytest.mark.parametrize("side", [1e308, 10**300])
+    def test_area_past_float_range_plans_like_max_slices(self, side):
+        plan = plan_tiles(side, side, 9, 448)
+        assert plan == plan_tiles(5000, 5000, 9, 448)
+
     def test_plan_invariants(self):
         plan = plan_tiles(900, 900, 9, 448)
         assert plan.resized_width == plan.grid_cols * 448

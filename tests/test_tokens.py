@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capypipe.manifest import Language, MediaKind, MediaRef, Scenario
+from capypipe.manifest import Language, MediaKind, MediaRef, PipelineConfig, Scenario
 from capypipe.tiler import EmbeddingGrid, TilePlan, plan_tiles
 from capypipe.tokens import (
     COMPRESSED_TOKENS,
@@ -21,9 +21,8 @@ from capypipe.tokens import (
     unflatten,
     video_budget,
 )
-from capypipe.video import schedule
 
-from conftest import make_record
+from conftest import audio_ref, make_record
 
 
 class TestCompressTokens:
@@ -188,41 +187,45 @@ class TestAudioBudget:
     def test_whole_second_band(self, t):
         assert 25 * t - 3 <= audio_budget(float(t)) <= 25 * t
 
+    @pytest.mark.parametrize("duration", [-3.0, -1e-9, float("nan"), float("inf"), 1e308])
+    def test_rejects_uncountable_duration(self, duration):
+        with pytest.raises(ValueError, match="duration must be >= 0 with a finite frame count"):
+            audio_budget(duration)
+
 
 class TestAssembleLayout:
     def test_text_only(self):
         rec = make_record(scenario=Scenario.QA, media=(), text="three word answer")
-        layout = assemble_layout(rec, [])
+        layout = assemble_layout(rec, PipelineConfig())
         assert layout.segments == ((SegmentKind.TEXT, 3),)
 
     def test_image_plus_text(self):
         ref = MediaRef(kind=MediaKind.IMAGE, path="i.ppm", width=300, height=300)
         rec = make_record(scenario=Scenario.CAPTION, media=(ref,), text="a cat")
-        plan = plan_tiles(300, 300, 9, 448)
-        layout = assemble_layout(rec, [plan])
+        layout = assemble_layout(rec, PipelineConfig())
         assert layout.total == 272 + 2
         assert layout.segments[-1] == (SegmentKind.TEXT, 2)
 
     def test_audio_plus_text(self):
         rec = make_record(text="ok")
-        layout = assemble_layout(rec, [audio_budget(1.0)])
+        layout = assemble_layout(rec, PipelineConfig())
         assert layout.segments[0] == (SegmentKind.AUDIO, 25)
 
     def test_video_ref(self):
         ref = MediaRef(kind=MediaKind.VIDEO, path="v.mp4", duration=10.0)
         rec = make_record(scenario=Scenario.QA, media=(ref,), text="what happens")
-        layout = assemble_layout(rec, [schedule(10.0, 1.0, 128)])
+        layout = assemble_layout(rec, PipelineConfig(video_fps=1.0, video_frame_cap=128))
         frames = sum(1 for k, _ in layout.segments if k is SegmentKind.VIDEO_FRAME)
         assert frames == 10
 
-    def test_missing_plan_names_ref(self):
-        rec = make_record()
-        with pytest.raises(ValueError, match="'r1' has 1 media refs, got 0 plans"):
-            assemble_layout(rec, [])
+    def test_unpriceable_ref_names_record_and_ref(self):
+        rec = make_record(media=(audio_ref(duration=-3.0),))
+        with pytest.raises(ValueError, match=r"^record 'r1': audio ref 'a.wav': duration must be"):
+            assemble_layout(rec, PipelineConfig())
 
     def test_total_is_sum_of_budgets(self):
         ref = MediaRef(kind=MediaKind.IMAGE, path="i.ppm", width=1344, height=1344)
         rec = make_record(scenario=Scenario.CAPTION, media=(ref,), text="one two three")
         plan = plan_tiles(1344, 1344, 9, 448)
-        layout = assemble_layout(rec, [plan])
+        layout = assemble_layout(rec, PipelineConfig(max_slices=9, cell_size=448))
         assert layout.total == image_budget(plan).total + text_budget(rec.text)

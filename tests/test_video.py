@@ -53,6 +53,15 @@ def test_invalid_args():
         schedule(1.0, 1.0, 0)
 
 
+@pytest.mark.parametrize(
+    "duration, fps",
+    [(math.inf, 1.0), (math.nan, 1.0), (1e308, 10.0), (1.0, math.inf), (1.0, math.nan)],
+)
+def test_rejects_uncountable_frames(duration, fps):
+    with pytest.raises(ValueError, match="must be finite|finite frame count"):
+        schedule(duration, fps, 128)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     duration=st.floats(0.01, 5000.0),
