@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -45,6 +46,10 @@ def _object(what: str, val: Any) -> dict[str, Any]:
     if not isinstance(val, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(val).__name__}")
     return val
+
+
+# a JSON escape of a UTF-16 surrogate, \ud800-\udfff, paired or not
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def _str(key: str, val: Any, optional: bool = False) -> str | None:
@@ -292,9 +297,9 @@ def read_manifest(path: str | Path) -> list[SampleRecord]:
                 continue
             try:
                 obj = json.loads(line)
-                if "\\u" in line:
-                    # only an escape can put a lone surrogate in UTF-8 text, and
-                    # one would make every later write fail
+                if _SURROGATE_ESCAPE.search(line):
+                    # only a \ud800-\udfff escape can put a lone surrogate in UTF-8
+                    # text, and one would make every later write fail
                     try:
                         json.dumps(obj, ensure_ascii=False).encode("utf-8")
                     except UnicodeEncodeError:

@@ -9,6 +9,7 @@ separator token.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -118,9 +119,10 @@ def video_budget(duration: float, fps: float = 1.0, cap: int = 128) -> TokenLayo
 
 def audio_budget(duration: float) -> int:
     """Token count for audio: 100 frames/s, conv stride 2, then pooling stride 2."""
-    if not 0 <= duration * 100 < math.inf:
+    # counted in float arithmetic, so an int product too large for a float fails here
+    if not (0 <= duration <= sys.float_info.max and float(duration) * 100 < math.inf):
         raise ValueError(f"duration must be >= 0 with a finite frame count, got {duration}")
-    frames = math.floor(duration * 100 + _EPS)
+    frames = math.floor(float(duration) * 100 + _EPS)
     return (frames // 2) // 2
 
 

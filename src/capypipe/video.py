@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 _EPS = 1e-6
@@ -29,15 +30,16 @@ def schedule(duration: float, fps: float = 1.0, cap: int = 128) -> FrameSchedule
     `cap` of them are kept at uniformly spaced indices with both endpoints
     retained.
     """
-    if not 0 < fps < math.inf:
+    if not 0 < fps <= sys.float_info.max:
         raise ValueError(f"fps must be finite and > 0, got {fps}")
-    if not (duration >= 0 and duration * fps < math.inf):
+    # counted in float arithmetic, so an int product too large for a float fails here
+    if not (0 <= duration <= sys.float_info.max and float(duration) * fps < math.inf):
         raise ValueError(
             f"duration must be >= 0 with a finite frame count at {fps} fps, got {duration}"
         )
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    raw_count = math.floor(duration * fps + _EPS)
+    raw_count = math.floor(float(duration) * fps + _EPS)
     if raw_count == 0:
         if duration == 0:
             return FrameSchedule((), fps, cap, truncated=False)

@@ -381,11 +381,13 @@ def _budget_line(tmp_path, capsys, *media):
         ({"kind": "Audio", "path": "a.wav", "duration": -3}, "audio ref 'a.wav': duration must be"),
         ({"kind": "Audio", "path": "a.wav", "duration": 1e308},
          "audio ref 'a.wav': duration must be"),
+        ({"kind": "Audio", "path": "a.wav", "duration": 10**307},
+         "audio ref 'a.wav': duration must be"),
         ({"kind": "Audio", "path": "a.wav"}, "audio ref 'a.wav': lacks duration"),
     ],
     ids=[
         "width-negative", "width-zero", "no-height", "video-negative", "video-no-duration",
-        "audio-negative", "audio-huge", "audio-no-duration",
+        "audio-negative", "audio-huge", "audio-huge-int", "audio-no-duration",
     ],
 )
 def test_budget_names_record_and_ref_it_cannot_price(tmp_path, capsys, ref, message):
@@ -418,7 +420,9 @@ _FUZZ_TEXT = st.text(max_size=3) | st.sampled_from(["a\ud800", "\udfff", "\ud83d
 _FUZZ_VALUE = st.one_of(
     st.integers(-3, 3),
     st.floats(-5.0, 5000.0),
-    st.sampled_from([1e308, -1e308, 10**300, 10**400, float("nan"), float("inf"), float("-inf")]),
+    st.sampled_from(
+        [1e308, -1e308, 10**300, 10**307, 10**400, float("nan"), float("inf"), float("-inf")]
+    ),
     st.booleans(),
     _FUZZ_TEXT,
 )

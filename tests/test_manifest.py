@@ -54,6 +54,21 @@ def test_malformed_line_error_names_line(tmp_path):
         read_manifest(p)
 
 
+@pytest.mark.parametrize(
+    "escaped, lone",
+    [(r"\u4e00\u9fa5", False), (r"\ud83d\ude00", False), (r"a\ud800", True), (r"\uDFFF", True)],
+    ids=["cjk", "surrogate-pair", "lone-high", "lone-low-upper-case"],
+)
+def test_read_rejects_only_lone_surrogate_escapes(tmp_path, escaped, lone):
+    p = tmp_path / "m.jsonl"
+    p.write_text(f'{{"id":"a","scenario":"QA","language":"ENG","text":"{escaped}"}}\n')
+    if lone:
+        with pytest.raises(ManifestError, match=":1: .*lone surrogate"):
+            read_manifest(p)
+    else:
+        assert read_manifest(p)[0].text == json.loads(f'"{escaped}"')
+
+
 def test_write_empty_manifest(tmp_path):
     p = tmp_path / "m.jsonl"
     write_manifest([], p)

@@ -187,7 +187,11 @@ class TestAudioBudget:
     def test_whole_second_band(self, t):
         assert 25 * t - 3 <= audio_budget(float(t)) <= 25 * t
 
-    @pytest.mark.parametrize("duration", [-3.0, -1e-9, float("nan"), float("inf"), 1e308])
+    @pytest.mark.parametrize(
+        "duration",
+        [-3.0, -1e-9, float("nan"), float("inf"), 1e308, 10**307, 10**400],
+        ids=["-3", "-1e-9", "nan", "inf", "1e308", "int-1e307", "int-1e400"],
+    )
     def test_rejects_uncountable_duration(self, duration):
         with pytest.raises(ValueError, match="duration must be >= 0 with a finite frame count"):
             audio_budget(duration)

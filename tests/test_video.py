@@ -55,7 +55,15 @@ def test_invalid_args():
 
 @pytest.mark.parametrize(
     "duration, fps",
-    [(math.inf, 1.0), (math.nan, 1.0), (1e308, 10.0), (1.0, math.inf), (1.0, math.nan)],
+    [
+        (math.inf, 1.0), (math.nan, 1.0), (1e308, 10.0), (1.0, math.inf), (1.0, math.nan),
+        # ints whose exact product is finite, but not as a float
+        (10**307, 10**300), (10**400, 1.0), (1.0, 10**400),
+    ],
+    ids=[
+        "inf", "nan", "1e308x10", "fps-inf", "fps-nan",
+        "int-1e307x1e300", "int-1e400", "fps-int-1e400",
+    ],
 )
 def test_rejects_uncountable_frames(duration, fps):
     with pytest.raises(ValueError, match="must be finite|finite frame count"):
