@@ -40,7 +40,6 @@ from .tokens import (
     compress_tokens,
     flatten_with_row_breaks,
     image_budget,
-    video_budget,
 )
 from .video import FrameSchedule, schedule
 

@@ -171,8 +171,8 @@ def mel_filterbank() -> np.ndarray:
 def profile(path: str | Path) -> AudioProfile:
     """Decode, resample, and summarize one audio file."""
     samples, rate = decode_wav(path)
+    resampled = resample_16k(samples, rate)  # rejects a rate outside 8-192 kHz, 0 included
     duration = len(samples) / rate
-    resampled = resample_16k(samples, rate)
     if len(resampled):
         n_frames = _frame_count(len(resampled))
         rms = float(np.sqrt(np.mean(resampled**2)))

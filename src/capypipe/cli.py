@@ -68,14 +68,21 @@ def _read_records(path: str):
 
 
 def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if out:
+    """Write each line, LF-terminated, to `out` (or stdout), with no joined copy."""
+    if not out:
         try:
-            Path(out).write_text(text, encoding="utf-8", newline="\n")
-        except OSError as exc:
-            raise CliError(f"cannot write {out}: {exc}", EXIT_IO) from exc
-    else:
-        sys.stdout.write(text)
+            sys.stdout.writelines(f"{line}\n" for line in lines)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader left (`| head`): point stdout at devnull so that the flush
+            # at exit cannot fail too, as the SIGPIPE note of the signal docs does
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return
+    try:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(f"{line}\n" for line in lines)
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc}", EXIT_IO) from exc
 
 
 def _dumps(obj) -> str:
@@ -201,23 +208,20 @@ def cmd_filter(args: argparse.Namespace) -> int:
     result = pipeline_mod.curate(records, config)
     try:
         write_manifest(result.kept, args.out)
-        if args.dropped:
-            with Path(args.dropped).open("w", encoding="utf-8", newline="\n") as fh:
-                for rec in result.dropped:
-                    fh.write(dumps_record(rec) + "\n")
-        if args.report:
-            report_dir = Path(args.report)
-            report_dir.mkdir(parents=True, exist_ok=True)
-            for rep in result.reports:
-                (report_dir / f"{rep.stage}.json").write_text(
-                    json.dumps(rep.to_json(), ensure_ascii=False, indent=2, sort_keys=True)
-                    + "\n",
-                    encoding="utf-8",
-                )
     except ManifestError as exc:
         raise CliError(str(exc), EXIT_INVALID) from exc
     except OSError as exc:
-        raise CliError(f"cannot write output: {exc}", EXIT_IO) from exc
+        raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO) from exc
+    if args.dropped:
+        _emit([dumps_record(rec) for rec in result.dropped], args.dropped)
+    if args.report:
+        try:
+            os.makedirs(args.report, exist_ok=True)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.report}: {exc}", EXIT_IO) from exc
+        for rep in result.reports:
+            text = json.dumps(rep.to_json(), ensure_ascii=False, indent=2, sort_keys=True)
+            _emit([text], os.path.join(args.report, f"{rep.stage}.json"))
     for rep in result.reports:
         print(
             f"{rep.stage}: {rep.input_count} in, {rep.kept} kept, {rep.dropped} dropped",

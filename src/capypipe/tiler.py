@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,6 +67,9 @@ def plan_tiles(width: int, height: int, max_slices: int = 9, cell_size: int = 44
     """Choose the sub-image grid for an image of the given pixel dimensions."""
     if width <= 0 or height <= 0:
         raise ValueError(f"image dimensions must be positive, got {width}x{height}")
+    if width > sys.float_info.max or height > sys.float_info.max:
+        # grid_score divides width by height in float arithmetic
+        raise ValueError("image dimensions must lie in the float range")
     if not 1 <= max_slices <= 9:
         raise ValueError(f"max_slices must be in 1..9, got {max_slices}")
     # the area is clamped before the division, so no finite area overflows

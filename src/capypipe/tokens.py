@@ -42,23 +42,20 @@ class SegmentKind(str, Enum):
 @dataclass(frozen=True)
 class TokenLayout:
     segments: tuple[tuple[SegmentKind, int], ...]
-    total: int
 
     def __post_init__(self) -> None:
         if any(count <= 0 for _, count in self.segments):
             raise ValueError("segment counts must be positive")
-        if self.total != sum(count for _, count in self.segments):
-            raise ValueError("total must equal the sum of segment counts")
+
+    @property
+    def total(self) -> int:
+        return sum(count for _, count in self.segments)
 
     def to_json(self) -> dict:
         return {
             "total": self.total,
             "segments": [{"kind": k.value, "count": c} for k, c in self.segments],
         }
-
-
-def _layout(segments: list[tuple[SegmentKind, int]]) -> TokenLayout:
-    return TokenLayout(tuple(segments), sum(c for _, c in segments))
 
 
 def compress_tokens(grid: EmbeddingGrid) -> EmbeddingGrid:
@@ -82,39 +79,17 @@ def flatten_with_row_breaks(grid_rows: int, grid_cols: int) -> list[SegmentKind]
     return seq
 
 
-def unflatten(seq: Sequence[SegmentKind]) -> tuple[int, int]:
-    """Recover (rows, cols) from a flattened sequence with row breaks."""
-    rows = sum(1 for k in seq if k is SegmentKind.ROW_BREAK)
-    if rows == 0 or len(seq) % rows:
-        raise ValueError("sequence is not a valid row-break flattening")
-    cols = len(seq) // rows - 1
-    if list(seq) != flatten_with_row_breaks(rows, cols):
-        raise ValueError("sequence is not a valid row-break flattening")
-    return rows, cols
-
-
-def _unit_segments(kind: SegmentKind, n_units: int) -> list[tuple[SegmentKind, int]]:
-    segments: list[tuple[SegmentKind, int]] = []
-    for i in range(n_units):
-        if i:
-            segments.append((SegmentKind.SEPARATOR, 1))
-        segments.append((kind, COMPRESSED_TOKENS))
-        segments.append((SegmentKind.ROW_BREAK, ROW_BREAKS_PER_UNIT))
-    return segments
+def _unit_segments(kind: SegmentKind, n_units: int) -> tuple[tuple[SegmentKind, int], ...]:
+    """n_units visual units of `kind`, each closed by its row breaks, joined by separators."""
+    if n_units < 1:
+        return ()
+    unit = ((kind, COMPRESSED_TOKENS), (SegmentKind.ROW_BREAK, ROW_BREAKS_PER_UNIT))
+    return unit + ((SegmentKind.SEPARATOR, 1), *unit) * (n_units - 1)
 
 
 def image_budget(plan: TilePlan) -> TokenLayout:
     """Token layout for one tiled image: all grid cells plus the thumbnail."""
-    return _layout(_unit_segments(SegmentKind.IMAGE_UNIT, plan.units))
-
-
-def video_budget(duration: float, fps: float = 1.0, cap: int = 128) -> TokenLayout:
-    """Token layout for a video sampled at fps, capped; frames are unsplit units.
-
-    The frame count is that of `video.schedule`, which also checks the arguments.
-    """
-    frames = len(video.schedule(duration, fps, cap).timestamps)
-    return _layout(_unit_segments(SegmentKind.VIDEO_FRAME, frames))
+    return TokenLayout(_unit_segments(SegmentKind.IMAGE_UNIT, plan.units))
 
 
 def audio_budget(duration: float) -> int:
@@ -136,11 +111,10 @@ def _media_segments(ref: MediaRef, config: PipelineConfig) -> Sequence[tuple[Seg
         if ref.width is None or ref.height is None:
             raise ValueError("lacks dimensions")
         plan = tiler.plan_tiles(ref.width, ref.height, config.max_slices, config.cell_size)
-        return image_budget(plan).segments
+        return _unit_segments(SegmentKind.IMAGE_UNIT, plan.units)
     if ref.duration is None:
         raise ValueError("lacks duration")
     if ref.kind is MediaKind.VIDEO:
-        # as video_budget, without building a layout only to unpack it
         sched = video.schedule(ref.duration, config.video_fps, config.video_frame_cap)
         return _unit_segments(SegmentKind.VIDEO_FRAME, len(sched.timestamps))
     count = audio_budget(ref.duration)
@@ -164,4 +138,4 @@ def assemble_layout(record: SampleRecord, config: PipelineConfig) -> TokenLayout
     words = text_budget(record.text)
     if words > 0:
         segments.append((SegmentKind.TEXT, words))
-    return _layout(segments)
+    return TokenLayout(tuple(segments))

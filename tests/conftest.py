@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,18 @@ def make_record(
         text=text,
         media=tuple(media or ()),
         **kwargs,
+    )
+
+
+def write_pcm16_wav(path, rate, n_samples=160):
+    """A silent mono PCM16 WAV packed by hand, since `wave` refuses to write some
+    header values (a rate of 0)."""
+    data = bytes(2 * n_samples)
+    fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
+    path.write_bytes(
+        b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
+        + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        + b"data" + struct.pack("<I", len(data)) + data
     )
 
 

@@ -15,6 +15,8 @@ from capypipe.audio import (
 )
 from capypipe.tokens import audio_budget
 
+from conftest import write_pcm16_wav
+
 
 def sine(freq, duration, rate, amp=0.5):
     t = np.arange(int(duration * rate)) / rate
@@ -181,6 +183,12 @@ class TestProfile:
             write_wav(np.zeros(n_samples), 16000, p)
             prof = profile(p)
             assert prof.n_tokens == audio_budget(prof.duration)
+
+    def test_rejects_zero_sample_rate(self, tmp_path):
+        p = tmp_path / "r0.wav"
+        write_pcm16_wav(p, 0)
+        with pytest.raises(ValueError, match="sample rate 0 outside supported range"):
+            profile(p)
 
 
 def test_mel_serialization_round_trip(tmp_path):

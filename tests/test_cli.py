@@ -1,15 +1,20 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import capypipe
 from capypipe.cli import build_parser, dispatch
 from capypipe.manifest import read_manifest, write_manifest
 
-from conftest import make_record
+from conftest import make_record, write_pcm16_wav
 
 
 def run(capsys, *argv):
@@ -31,6 +36,9 @@ def test_plan_tiles_invalid_dims(capsys):
     code, _, err = run(capsys, "plan-tiles", "--width", "0", "--height", "5")
     assert code == 1
     assert "positive" in err
+    code, out, err = run(capsys, "plan-tiles", "--width", "9" * 400, "--height", "1500")
+    assert (code, out) == (1, "")
+    assert err == "error: image dimensions must lie in the float range\n"
 
 
 def test_video_schedule(capsys):
@@ -137,6 +145,67 @@ def test_audio_profile(tmp_path, capsys):
     obj = json.loads(out)
     assert obj["n_tokens"] == 25
     assert obj["n_frames"] == 100
+
+
+def test_audio_profile_rejects_zero_sample_rate(tmp_path, capsys):
+    p = tmp_path / "r0.wav"
+    write_pcm16_wav(p, 0)
+    code, out, err = run(capsys, "audio-profile", "--wav", str(p))
+    assert (code, out) == (1, "")
+    assert err == "error: sample rate 0 outside supported range [8000, 192000]\n"
+
+
+def test_budget_to_closed_pipe_exits_cleanly(tmp_path):
+    from capypipe.manifest import MediaKind, MediaRef, Scenario
+
+    # about 1.2 MB of output, far more than a pipe holds: the writer is still
+    # writing when the reader goes, as with `capypipe budget ... | head -n 1`
+    video = MediaRef(kind=MediaKind.VIDEO, path="v.mp4", duration=500.0)
+    path = tmp_path / "m.jsonl"
+    write_manifest(
+        [make_record(id=f"r{i}", scenario=Scenario.QA, media=(video,), text="x")
+         for i in range(100)],
+        path,
+    )
+    src = str(Path(capypipe.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "capypipe.cli", "budget", "--manifest", str(path)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        try:
+            head = proc.stdout.read(16)
+            proc.stdout.close()
+            err = proc.communicate(timeout=60)[1].decode()
+        finally:
+            proc.kill()
+    assert head == b'{"id":"r0","tota'
+    # no BrokenPipeError traceback
+    assert (proc.returncode, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "flag, target",
+    [("--out", "under-file"), ("--dropped", "directory"), ("--report", "under-file"),
+     ("--report", "report-is-directory")],
+)
+def test_unwritable_output_is_io_error(tmp_path, capsys, flag, target):
+    # paths no user can write to, root included
+    src = tmp_path / "in.jsonl"
+    write_manifest([make_record(id="a", text="some text here")], src)
+    (tmp_path / "file").write_text("")
+    bad = {"under-file": tmp_path / "file" / "out", "directory": tmp_path,
+           "report-is-directory": tmp_path / "reports"}[target]
+    if target == "report-is-directory":
+        (bad / "dedup.json").mkdir(parents=True)
+    if flag == "--out":
+        argv = ["budget", "--manifest", str(src), "--out", str(bad)]
+    else:
+        argv = ["filter", "--manifest", str(src), "--out", str(tmp_path / "kept.jsonl"),
+                flag, str(bad)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    failed = bad / "dedup.json" if target == "report-is-directory" else bad
+    assert err.startswith(f"error: cannot write {failed}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_filter_end_to_end(tmp_path, capsys):

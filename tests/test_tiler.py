@@ -85,6 +85,15 @@ class TestPlanTiles:
         with pytest.raises(ValueError):
             plan_tiles(100, -1)
 
+    @pytest.mark.parametrize(
+        "width, height",
+        [(10**400, 1500), (1500, 10**400), (float("inf"), 1500), (1e308, 10**309)],
+        ids=["width-int-1e400", "height-int-1e400", "width-inf", "height-int-1e309"],
+    )
+    def test_rejects_side_past_float_range(self, width, height):
+        with pytest.raises(ValueError, match="image dimensions must lie in the float range"):
+            plan_tiles(width, height)
+
     @pytest.mark.parametrize("side", [1e308, 10**300])
     def test_area_past_float_range_plans_like_max_slices(self, side):
         plan = plan_tiles(side, side, 9, 448)

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,14 +10,13 @@ from capypipe.tokens import (
     ROW_BREAKS_PER_UNIT,
     UNIT_TOKENS,
     SegmentKind,
+    TokenLayout,
     assemble_layout,
     audio_budget,
     compress_tokens,
     flatten_with_row_breaks,
     image_budget,
     text_budget,
-    unflatten,
-    video_budget,
 )
 
 from conftest import audio_ref, make_record
@@ -82,11 +79,6 @@ class TestFlatten:
             SegmentKind.ROW_BREAK,
         ]
 
-    def test_round_trip_exhaustive(self):
-        for rows in range(1, 33):
-            for cols in range(1, 33):
-                assert unflatten(flatten_with_row_breaks(rows, cols)) == (rows, cols)
-
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             flatten_with_row_breaks(0, 3)
@@ -123,50 +115,29 @@ class TestImageBudget:
                 assert layout.total == len(explicit_image_sequence(plan))
                 assert layout.total == plan.units * UNIT_TOKENS + (plan.units - 1)
 
+    def test_segments_expand_to_explicit_sequence_all_grids(self):
+        symbol = {SegmentKind.IMAGE_UNIT: "tok", SegmentKind.ROW_BREAK: "row",
+                  SegmentKind.SEPARATOR: "sep"}
+        for rows in range(1, 4):
+            for cols in range(1, 4):
+                plan = TilePlan(rows, cols, 448, thumbnail=rows * cols > 1, score=0.0)
+                expanded = [symbol[k] for k, c in image_budget(plan).segments for _ in range(c)]
+                assert expanded == explicit_image_sequence(plan)
 
-class TestVideoBudget:
-    def test_10s(self):
-        layout = video_budget(10.0, 1.0, 128)
-        frames = sum(1 for k, _ in layout.segments if k is SegmentKind.VIDEO_FRAME)
-        assert frames == 10
-        visual = sum(
-            c for k, c in layout.segments
-            if k in (SegmentKind.VIDEO_FRAME, SegmentKind.ROW_BREAK)
-        )
-        assert visual == 2720
-        assert layout.total == 2720 + 9
 
-    def test_cap(self):
-        layout = video_budget(500.0, 1.0, 128)
-        frames = sum(1 for k, _ in layout.segments if k is SegmentKind.VIDEO_FRAME)
-        assert frames == 128
+class TestTokenLayout:
+    def test_total_is_sum_of_counts(self):
+        layout = TokenLayout(((SegmentKind.AUDIO, 25), (SegmentKind.TEXT, 3)))
+        assert layout.total == 28
+        assert layout.to_json() == {
+            "total": 28,
+            "segments": [{"kind": "Audio", "count": 25}, {"kind": "Text", "count": 3}],
+        }
 
-    def test_minimum_one_frame(self):
-        layout = video_budget(0.5, 1.0, 128)
-        frames = sum(1 for k, _ in layout.segments if k is SegmentKind.VIDEO_FRAME)
-        assert frames == 1
-
-    def test_negative_duration(self):
-        with pytest.raises(ValueError):
-            video_budget(-1.0)
-
-    @pytest.mark.parametrize("fps, cap", [(0.0, 128), (-1.0, 128), (1.0, 0)])
-    def test_invalid_fps_or_cap(self, fps, cap):
-        with pytest.raises(ValueError, match="must be"):
-            video_budget(10.0, fps, cap)
-
-    def test_frames_follow_closed_form(self, rng):
-        # floor(duration * fps), capped, at least one frame for any positive duration
-        for _ in range(2000):
-            duration = float(rng.choice([0.0, rng.uniform(0, 3), rng.uniform(0, 600)]))
-            fps = float(rng.choice([0.5, 1.0, 2.0, rng.uniform(0.01, 10)]))
-            cap = int(rng.integers(1, 200))
-            expected = min(math.floor(duration * fps + 1e-6), cap)
-            if duration > 0:
-                expected = max(expected, 1)
-            layout = video_budget(duration, fps, cap)
-            frames = sum(1 for k, _ in layout.segments if k is SegmentKind.VIDEO_FRAME)
-            assert frames == expected, (duration, fps, cap)
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_rejects_non_positive_count(self, count):
+        with pytest.raises(ValueError, match="segment counts must be positive"):
+            TokenLayout(((SegmentKind.TEXT, 2), (SegmentKind.AUDIO, count)))
 
 
 class TestAudioBudget:
@@ -221,6 +192,38 @@ class TestAssembleLayout:
         layout = assemble_layout(rec, PipelineConfig(video_fps=1.0, video_frame_cap=128))
         frames = sum(1 for k, _ in layout.segments if k is SegmentKind.VIDEO_FRAME)
         assert frames == 10
+
+    @staticmethod
+    def _video_layout(duration):
+        ref = MediaRef(kind=MediaKind.VIDEO, path="v.mp4", duration=duration)
+        rec = make_record(scenario=Scenario.QA, media=(ref,), text="")
+        return assemble_layout(rec, PipelineConfig(video_fps=1.0, video_frame_cap=128))
+
+    def test_video_10s(self):
+        layout = self._video_layout(10.0)
+        frames = sum(1 for k, _ in layout.segments if k is SegmentKind.VIDEO_FRAME)
+        assert frames == 10
+        visual = sum(
+            c for k, c in layout.segments
+            if k in (SegmentKind.VIDEO_FRAME, SegmentKind.ROW_BREAK)
+        )
+        assert visual == 2720
+        assert layout.total == 2720 + 9
+
+    def test_video_capped_at_128_frames(self):
+        layout = self._video_layout(500.0)
+        frames = sum(1 for k, _ in layout.segments if k is SegmentKind.VIDEO_FRAME)
+        assert frames == 128
+
+    def test_video_minimum_one_frame(self):
+        layout = self._video_layout(0.5)
+        assert layout.segments == (
+            (SegmentKind.VIDEO_FRAME, COMPRESSED_TOKENS),
+            (SegmentKind.ROW_BREAK, ROW_BREAKS_PER_UNIT),
+        )
+
+    def test_zero_second_video_has_no_segments(self):
+        assert self._video_layout(0.0).segments == ()
 
     def test_unpriceable_ref_names_record_and_ref(self):
         rec = make_record(media=(audio_ref(duration=-3.0),))
