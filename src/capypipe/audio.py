@@ -69,8 +69,10 @@ def decode_wav(path: str | Path) -> tuple[np.ndarray, int]:
             rate = wf.getframerate()
             n_frames = wf.getnframes()
             raw = wf.readframes(n_frames)
-    except wave.Error as exc:
-        raise AudioFormatError(f"{path}: not a supported RIFF/WAVE file: {exc}") from exc
+    except (wave.Error, EOFError) as exc:
+        # `wave` raises a bare EOFError when the file ends inside a header chunk
+        reason = str(exc) or "header is cut short"
+        raise AudioFormatError(f"{path}: not a supported RIFF/WAVE file: {reason}") from exc
     if sampwidth != 2:
         raise AudioFormatError(
             f"{path}: only PCM 16-bit supported, fmt chunk reports {8 * sampwidth}-bit samples"

@@ -1,8 +1,9 @@
 """Command-line interface: one subcommand per pipeline stage.
 
 JSON results go to stdout (or --out); diagnostics go to stderr. Exit codes:
-0 success, 1 validation failure, 2 I/O failure. Flag values override the
-config file (--config or $CAPYPIPE_CONFIG), which overrides built-in defaults.
+0 success, 1 invalid input, 2 I/O failure; `dispatch` alone maps a failure to
+its code and one `error:` line. Flag values override the config file (--config
+or $CAPYPIPE_CONFIG), which overrides built-in defaults.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import dataclasses
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import audio as audio_mod
 from . import pipeline as pipeline_mod
@@ -34,6 +34,8 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_IO = 2
 
+_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int) -> None:
@@ -45,26 +47,15 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
     overrides = {
         name: getattr(args, name)
-        for name in (f.name for f in dataclasses.fields(PipelineConfig))
+        for name in _CONFIG_FIELDS
         if getattr(args, name, None) is not None
     }
     try:
         if path:
             return PipelineConfig.from_file(path, **overrides)
         return PipelineConfig(**overrides)
-    except FileNotFoundError as exc:
-        raise CliError(f"config file not found: {path}", EXIT_IO) from exc
-    except (ManifestError, ValueError, json.JSONDecodeError) as exc:
+    except (ManifestError, ValueError) as exc:
         raise CliError(f"invalid config: {exc}", EXIT_INVALID) from exc
-
-
-def _read_records(path: str):
-    try:
-        return read_manifest(path)
-    except FileNotFoundError as exc:
-        raise CliError(f"manifest not found: {path}", EXIT_IO) from exc
-    except ManifestError as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -95,10 +86,7 @@ def _dumps(obj) -> str:
 
 def cmd_plan_tiles(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    try:
-        plan = plan_tiles(args.width, args.height, config.max_slices, config.cell_size)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
+    plan = plan_tiles(args.width, args.height, config.max_slices, config.cell_size)
     _emit(
         [
             _dumps(
@@ -121,50 +109,40 @@ def cmd_plan_tiles(args: argparse.Namespace) -> int:
 def cmd_budget(args: argparse.Namespace) -> int:
     config = _load_config(args)
     lines = []
-    for rec in _read_records(args.manifest):
-        try:
-            layout = tokens_mod.assemble_layout(rec, config)
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_INVALID) from exc
+    for rec in read_manifest(args.manifest):
+        layout = tokens_mod.assemble_layout(rec, config)
         lines.append(_dumps({"id": rec.id, **layout.to_json()}))
     _emit(lines, args.out)
     return EXIT_OK
 
 
 def cmd_audio_profile(args: argparse.Namespace) -> int:
-    try:
-        prof = audio_mod.profile(args.wav)
-    except FileNotFoundError as exc:
-        raise CliError(f"audio file not found: {args.wav}", EXIT_IO) from exc
-    except (audio_mod.AudioFormatError, ValueError) as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
+    prof = audio_mod.profile(args.wav)
     _emit([_dumps(prof.to_json())], args.out)
     return EXIT_OK
 
 
 def cmd_video_schedule(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    try:
-        sched = video_mod.schedule(args.duration, config.video_fps, config.video_frame_cap)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
+    sched = video_mod.schedule(args.duration, config.video_fps, config.video_frame_cap)
     _emit([_dumps(list(sched.timestamps))], args.out)
     return EXIT_OK
 
 
 def _read_tsv(path: str) -> dict[str, str]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise CliError(f"TSV file not found: {path}", EXIT_IO) from exc
     out: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if "\t" not in line:
-            raise CliError(f"{path}:{lineno}: expected two tab-separated columns", EXIT_INVALID)
-        key, value = line.split("\t", 1)
-        out[key] = value
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            if not line.strip():
+                continue
+            if "\t" not in line:
+                raise ValueError(f"{path}:{lineno}: expected two tab-separated columns")
+            key, value = line.split("\t", 1)
+            out[key] = value
     return out
 
 
@@ -204,12 +182,9 @@ def cmd_filter(args: argparse.Namespace) -> int:
     config = _load_config(args)
     if not args.out:
         raise CliError("filter requires --out for the kept manifest", EXIT_INVALID)
-    records = _read_records(args.manifest)
-    result = pipeline_mod.curate(records, config)
+    result = pipeline_mod.curate(read_manifest(args.manifest), config)
     try:
         write_manifest(result.kept, args.out)
-    except ManifestError as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
     except OSError as exc:
         raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO) from exc
     if args.dropped:
@@ -231,8 +206,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    records = _read_records(args.manifest)
-    lines = [_dumps(row) for row in pipeline_mod.stats(records)]
+    lines = [_dumps(row) for row in pipeline_mod.stats(read_manifest(args.manifest))]
     _emit(lines, args.out)
     return EXIT_OK
 
@@ -240,7 +214,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, manifest: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser, *fields: str, manifest: bool = False) -> None:
+    """Add a flag for each named `PipelineConfig` field, then --config, --out and
+    (with `manifest`) --manifest. A field's flag is its name with dashes, typed
+    like the field; it defaults to None so that the config file's value holds."""
+    for name in fields:
+        field_type = {"int": int, "float": float}[_CONFIG_FIELDS[name].type]
+        sub.add_argument("--" + name.replace("_", "-"), type=field_type, default=None)
     sub.add_argument("--config", default=None, help=f"config file (default: ${CONFIG_ENV})")
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
     if manifest:
@@ -258,17 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("plan-tiles", formatter_class=fmt, help="plan sub-image grid")
     p.add_argument("--width", type=int, required=True)
     p.add_argument("--height", type=int, required=True)
-    p.add_argument("--max-slices", dest="max_slices", type=int, default=None)
-    p.add_argument("--cell-size", dest="cell_size", type=int, default=None)
-    _add_common(p)
+    _add_common(p, "max_slices", "cell_size")
     p.set_defaults(func=cmd_plan_tiles)
 
     p = subs.add_parser("budget", formatter_class=fmt, help="token budget per record")
-    p.add_argument("--max-slices", dest="max_slices", type=int, default=None)
-    p.add_argument("--cell-size", dest="cell_size", type=int, default=None)
-    p.add_argument("--video-fps", dest="video_fps", type=float, default=None)
-    p.add_argument("--video-frame-cap", dest="video_frame_cap", type=int, default=None)
-    _add_common(p, manifest=True)
+    _add_common(p, "max_slices", "cell_size", "video_fps", "video_frame_cap", manifest=True)
     p.set_defaults(func=cmd_budget)
 
     p = subs.add_parser("audio-profile", formatter_class=fmt, help="profile one WAV file")
@@ -278,9 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("video-schedule", formatter_class=fmt, help="frame timestamps")
     p.add_argument("--duration", type=float, required=True, help="video length in seconds")
-    p.add_argument("--video-fps", dest="video_fps", type=float, default=None)
-    p.add_argument("--video-frame-cap", dest="video_frame_cap", type=int, default=None)
-    _add_common(p)
+    _add_common(p, "video_fps", "video_frame_cap")
     p.set_defaults(func=cmd_video_schedule)
 
     p = subs.add_parser("metrics", formatter_class=fmt, help="text metrics over TSV pairs")
@@ -298,17 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=argparse.SUPPRESS,
         help="no effect: curation runs in one thread; accepted so existing scripts keep working",
     )
-    p.add_argument("--wer-threshold", dest="wer_threshold", type=float, default=None)
-    p.add_argument(
-        "--s2tt-similarity-threshold",
-        dest="s2tt_similarity_threshold", type=float, default=None,
+    _add_common(
+        p, "wer_threshold", "s2tt_similarity_threshold", "cluster_jaccard_threshold",
+        "shingle_n", manifest=True,
     )
-    p.add_argument(
-        "--cluster-jaccard-threshold",
-        dest="cluster_jaccard_threshold", type=float, default=None,
-    )
-    p.add_argument("--shingle-n", dest="shingle_n", type=int, default=None)
-    _add_common(p, manifest=True)
     p.set_defaults(func=cmd_filter)
 
     p = subs.add_parser("stats", formatter_class=fmt, help="scenario/language/source counts")
@@ -319,13 +284,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code: 1 for invalid input (a
+    `ValueError`, `ManifestError` or `AudioFormatError`), 2 for an input that
+    cannot be read (any other `OSError`) or an output that cannot be written.
+    A failure prints one `error:` line to stderr."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        message, code = str(exc), exc.code
+    except (ValueError, ManifestError, audio_mod.AudioFormatError) as exc:
+        message, code = str(exc), EXIT_INVALID
+    except OSError as exc:  # outputs fail inside `cannot write` blocks
+        message = f"cannot read {exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+        code = EXIT_IO
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -291,11 +291,12 @@ def read_manifest(path: str | Path) -> list[SampleRecord]:
     path = Path(path)
     records: list[SampleRecord] = []
     seen: dict[str, int] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 obj = json.loads(line)
                 if _SURROGATE_ESCAPE.search(line):
                     # only a \ud800-\udfff escape can put a lone surrogate in UTF-8

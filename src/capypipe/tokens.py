@@ -54,7 +54,8 @@ class TokenLayout:
     def to_json(self) -> dict:
         return {
             "total": self.total,
-            "segments": [{"kind": k.value, "count": c} for k, c in self.segments],
+            # a SegmentKind is a str, so json writes its value
+            "segments": [{"kind": k, "count": c} for k, c in self.segments],
         }
 
 

@@ -79,6 +79,15 @@ class TestDecodeWav:
         with pytest.raises(AudioFormatError):
             decode_wav(p)
 
+    # empty, inside the RIFF id, inside the fmt chunk
+    @pytest.mark.parametrize("size", [0, 2, 20])
+    def test_rejects_truncated_header(self, tmp_path, size):
+        p = tmp_path / "t.wav"
+        write_pcm16_wav(p, 16000)
+        p.write_bytes(p.read_bytes()[:size])
+        with pytest.raises(AudioFormatError, match="header is cut short"):
+            decode_wav(p)
+
 
 class TestResample:
     def test_identity_at_16k(self):

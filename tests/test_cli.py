@@ -78,6 +78,53 @@ def test_missing_manifest_is_io_error(capsys, tmp_path):
     assert "nope.jsonl" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "--manifest", "{dir}"],
+        ["budget", "--manifest", "{dir}"],
+        ["filter", "--manifest", "{dir}", "--out", "{kept}"],
+        ["plan-tiles", "--width", "9", "--height", "9", "--config", "{dir}"],
+        ["audio-profile", "--wav", "{dir}"],
+        ["metrics", "wer", "--ref", "{dir}", "--hyp", "{tsv}"],
+        ["metrics", "wer", "--ref", "{tsv}", "--hyp", "{dir}"],
+    ],
+    ids=["stats", "budget", "filter", "config", "wav", "ref", "hyp"],
+)
+def test_directory_as_input_is_io_error(tmp_path, capsys, argv):
+    paths = {"dir": tmp_path / "dir", "tsv": tmp_path / "t.tsv", "kept": tmp_path / "kept.jsonl"}
+    paths["dir"].mkdir()
+    paths["tsv"].write_text("a\thello\n")
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {paths['dir']}: ")
+    assert len(err.splitlines()) == 1
+
+
+def test_metrics_bleu_on_empty_tsv_is_invalid(tmp_path, capsys):
+    tsv = tmp_path / "e.tsv"
+    tsv.write_text("")
+    code, out, err = run(capsys, "metrics", "bleu", "--ref", str(tsv), "--hyp", str(tsv))
+    assert (code, out) == (1, "")
+    assert err == "error: empty corpus; BLEU undefined\n"
+
+
+@pytest.mark.parametrize("command", ["stats", "metrics"])
+def test_undecodable_input_names_file_and_line(tmp_path, capsys, command):
+    bad = tmp_path / "bad"
+    if command == "stats":
+        bad.write_bytes(b'{"id":"a","scenario":"QA","language":"ENG","text":"t"}\n\xff\n')
+        argv = ["stats", "--manifest", str(bad)]
+    else:
+        (tmp_path / "r.tsv").write_text("a\thello\n")
+        bad.write_bytes(b"a\thello\n\xff\tworld\n")
+        argv = ["metrics", "wer", "--ref", str(tmp_path / "r.tsv"), "--hyp", str(bad)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bad}:2: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_budget_manifest(tmp_path, capsys):
     from capypipe.manifest import Scenario
 
@@ -153,6 +200,17 @@ def test_audio_profile_rejects_zero_sample_rate(tmp_path, capsys):
     code, out, err = run(capsys, "audio-profile", "--wav", str(p))
     assert (code, out) == (1, "")
     assert err == "error: sample rate 0 outside supported range [8000, 192000]\n"
+
+
+# empty, inside the RIFF id, inside the fmt chunk
+@pytest.mark.parametrize("size", [0, 2, 20])
+def test_audio_profile_rejects_truncated_wav(tmp_path, capsys, size):
+    p = tmp_path / "t.wav"
+    write_pcm16_wav(p, 16000)
+    p.write_bytes(p.read_bytes()[:size])
+    code, out, err = run(capsys, "audio-profile", "--wav", str(p))
+    assert (code, out) == (1, "")
+    assert err == f"error: {p}: not a supported RIFF/WAVE file: header is cut short\n"
 
 
 def test_budget_to_closed_pipe_exits_cleanly(tmp_path):
@@ -526,3 +584,77 @@ def test_fuzzed_manifest_ends_in_exit_code_not_traceback(tmp_path_factory, recor
         if code == 1:
             assert len(err.getvalue().splitlines()) == 1
             assert err.getvalue().startswith("error: ")
+
+
+# argv fuzzing: each flag gets a value from a fixed pool ("2" and "0.5" are valid
+# for every numeric flag; integers stay small so that no valid draw asks for a
+# huge output) and each input flag one of four kinds of path
+_ARGV_NUMBER = st.sampled_from(["nan", "inf", "1e400", "-1", "0", "1.5", "abc", "", "2", "0.5"])
+_ARGV_INPUT = st.sampled_from(["valid", "missing", "directory", "wrong-format"])
+_ARGV_OUTPUT = st.sampled_from(["fresh", "directory", "under-file"])
+_ARGV_FLAGS = {
+    "plan-tiles": ["--width", "--height", "--max-slices", "--cell-size"],
+    "budget": ["--manifest", "--max-slices", "--cell-size", "--video-fps", "--video-frame-cap"],
+    "audio-profile": ["--wav"],
+    "video-schedule": ["--duration", "--video-fps", "--video-frame-cap"],
+    "metrics": ["--ref", "--hyp", "--ngram"],
+    "filter": ["--manifest", "--dropped", "--report", "--jobs", "--wer-threshold",
+               "--s2tt-similarity-threshold", "--cluster-jaccard-threshold", "--shingle-n"],
+    "stats": ["--manifest"],
+}
+_ARGV_REQUIRED = {"--width", "--height", "--duration", "--manifest", "--wav", "--ref", "--hyp"}
+# the file of each input kind, and one of another format in its place
+_ARGV_FILES = {"--manifest": ("in.jsonl", "a.wav"), "--wav": ("a.wav", "in.jsonl"),
+               "--ref": ("r.tsv", "a.wav"), "--hyp": ("r.tsv", "a.wav"),
+               "--config": ("cfg.json", "r.tsv")}
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(tmp_path_factory):
+    work = tmp_path_factory.mktemp("argv")
+    write_manifest(
+        [make_record(id="a", text="clean sample text", hypothesis="clean sample text"),
+         make_record(id="b", text="clean sample text")],
+        work / "in.jsonl",
+    )
+    write_pcm16_wav(work / "a.wav", 16000)
+    (work / "r.tsv").write_text("a\tthe cat sat\nb\ton the mat\n")
+    (work / "cfg.json").write_text(json.dumps({"max_slices": 4, "video_frame_cap": 2}))
+    (work / "directory").mkdir()
+    (work / "file").write_text("")
+    return work
+
+
+@pytest.mark.parametrize("command", sorted(_ARGV_FLAGS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_ends_in_exit_code_not_traceback(argv_inputs, command, data):
+    work = argv_inputs
+    argv = [command]
+    if command == "metrics":
+        argv.append(data.draw(st.sampled_from(["wer", "cer", "bleu", "sim"])))
+    for flag in [*_ARGV_FLAGS[command], "--config", "--out"]:
+        if flag not in _ARGV_REQUIRED and not data.draw(st.booleans(), label=flag):
+            continue
+        if flag in _ARGV_FILES:
+            kind = data.draw(_ARGV_INPUT, label=flag)
+            name = {"valid": _ARGV_FILES[flag][0], "wrong-format": _ARGV_FILES[flag][1]}
+            value = work / name.get(kind, kind)
+        elif flag in ("--out", "--dropped", "--report"):
+            kind = data.draw(_ARGV_OUTPUT, label=flag)
+            value = {"fresh": work / f"out{flag}", "directory": work / "directory",
+                     "under-file": work / "file" / "out"}[kind]
+        else:
+            value = data.draw(_ARGV_NUMBER, label=flag)
+        argv += [flag, str(value)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = dispatch(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            assert exc.code == 2
+            return
+    assert code in (0, 1, 2)
+    if code:
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: ")

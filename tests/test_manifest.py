@@ -54,6 +54,13 @@ def test_malformed_line_error_names_line(tmp_path):
         read_manifest(p)
 
 
+def test_undecodable_line_error_names_line(tmp_path):
+    p = tmp_path / "m.jsonl"
+    p.write_bytes(b'{"id":"a","scenario":"QA","language":"ENG","text":"t"}\n\xff\n')
+    with pytest.raises(ManifestError, match=r"m\.jsonl:2: .*can't decode byte 0xff"):
+        read_manifest(p)
+
+
 @pytest.mark.parametrize(
     "escaped, lone",
     [(r"\u4e00\u9fa5", False), (r"\ud83d\ude00", False), (r"a\ud800", True), (r"\uDFFF", True)],
