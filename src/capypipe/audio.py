@@ -79,6 +79,8 @@ def decode_wav(path: str | Path) -> tuple[np.ndarray, int]:
         )
     if n_channels not in (1, 2):
         raise AudioFormatError(f"{path}: expected mono or stereo, got {n_channels} channels")
+    if len(raw) % (2 * n_channels):
+        raise AudioFormatError(f"{path}: data chunk ends inside a sample frame")
     pcm = np.frombuffer(raw, dtype="<i2").astype(np.float64)
     if n_channels == 2:
         pcm = pcm.reshape(-1, 2).mean(axis=1)

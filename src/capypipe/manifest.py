@@ -212,6 +212,10 @@ class PipelineConfig:
     video_frame_cap: int = 128
 
     def __post_init__(self) -> None:
+        # a value that is not a member raises ValueError
+        object.__setattr__(
+            self, "dedup_normalization", DedupNormalization(self.dedup_normalization)
+        )
         for f in dataclasses.fields(self):
             val = getattr(self, f.name)
             if f.type == "float":
@@ -239,8 +243,6 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str | Path, **overrides: Any) -> "PipelineConfig":
         data = _object("config file", json.loads(Path(path).read_text(encoding="utf-8")))
-        if "dedup_normalization" in data:
-            data["dedup_normalization"] = DedupNormalization(data["dedup_normalization"])
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:

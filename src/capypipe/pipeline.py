@@ -5,6 +5,9 @@ Near-duplicate detection is an exact prefix-filter join: its candidate pairs
 provably include every pair at or above the Jaccard threshold, and each is
 verified by its exact shingle overlap, so results are identical to the O(n^2)
 brute force.
+
+`_run` alone attaches stage verdicts to records and fills the stage reports:
+`curate` and each public stage function go through it.
 """
 
 from __future__ import annotations
@@ -68,12 +71,6 @@ class PipelineResult:
     reports: list[FilterReport]
 
 
-def _normalized_text(record: SampleRecord, mode: DedupNormalization) -> str:
-    if mode is DedupNormalization.NONE:
-        return record.text
-    return normalize(record.text)
-
-
 # the report's drop reason for each metric; an unscored drop's metric_name is
 # its own reason
 _DROP_REASONS = {
@@ -86,38 +83,41 @@ _EXACT_DUPLICATE = FilterVerdict(kept=False, stage="dedup", metric_name="exact-d
 _NEAR_DUPLICATE = FilterVerdict(kept=False, stage="near-duplicate-cluster", metric_name="jaccard")
 
 
-def _partition(records, verdicts, stage):
-    """Attach each record's stage verdict and split the positions.
-
-    A verdict of None keeps the record as is. Returns the records with their
-    verdicts attached, the kept and the dropped positions (input order) and
-    the stage report, which counts each drop under its reason and each scored
-    verdict in the metric histogram.
+def _run(records, stages) -> PipelineResult:
+    """Run each (stage, verdicts_of) in turn; verdicts_of gives one verdict per
+    live record, and None keeps a record as is. Records are tracked by input
+    position, so duplicate ids stay apart and both outputs keep input order.
     """
-    report = FilterReport(stage=stage, input_count=len(records))
-    judged, kept, dropped = [], [], []
-    for i, (rec, verdict) in enumerate(zip(records, verdicts, strict=True)):
-        if verdict is None:
-            judged.append(rec)
+    current = list(records)
+    live = list(range(len(records)))
+    gone: list[int] = []
+    reports = []
+    for stage, verdicts_of in stages:
+        report = FilterReport(stage=stage, input_count=len(live))
+        kept = []
+        for i, verdict in zip(live, verdicts_of([current[i] for i in live]), strict=True):
+            if verdict is not None:
+                current[i] = current[i].with_verdict(verdict)
+                if verdict.metric_value is not None:
+                    report.record_metric(min(max(verdict.metric_value, 0.0), 1.0))
+                if not verdict.kept:
+                    report.record_drop(_DROP_REASONS.get(verdict.metric_name, verdict.metric_name))
+                    gone.append(i)
+                    continue
             kept.append(i)
-            continue
-        judged.append(rec.with_verdict(verdict))
-        if verdict.metric_value is not None:
-            report.record_metric(min(max(verdict.metric_value, 0.0), 1.0))
-        if verdict.kept:
-            kept.append(i)
-        else:
-            report.record_drop(_DROP_REASONS.get(verdict.metric_name, verdict.metric_name))
-            dropped.append(i)
-    report.kept = len(kept)
-    return judged, kept, dropped, report
+        live = kept
+        report.kept = len(live)
+        reports.append(report)
+    return PipelineResult(
+        [current[i] for i in live], [current[i] for i in sorted(gone)], reports
+    )
 
 
 def _dedup_verdicts(records, mode):
     seen: set[str] = set()
     verdicts = []
     for rec in records:
-        key = _normalized_text(rec, mode)
+        key = rec.text if mode is DedupNormalization.NONE else normalize(rec.text)
         verdicts.append(_EXACT_DUPLICATE if key in seen else None)
         seen.add(key)
     return verdicts
@@ -128,8 +128,9 @@ def dedup_exact(
     mode: DedupNormalization = DedupNormalization.STANDARD,
 ) -> tuple[list[SampleRecord], FilterReport]:
     """Keep the first record for each normalized text, drop later copies."""
-    judged, kept, _, report = _partition(records, _dedup_verdicts(records, mode), "dedup")
-    return [judged[i] for i in kept], report
+    mode = DedupNormalization(mode)
+    result = _run(records, [("dedup", lambda recs: _dedup_verdicts(recs, mode))])
+    return result.kept, result.reports[0]
 
 
 def exact_jaccard(a: str, b: str, n: int) -> float:
@@ -251,8 +252,8 @@ def cluster_prune(
 ) -> tuple[list[SampleRecord], list[ClusterAssignment], FilterReport]:
     """Cluster near-duplicate texts and keep one representative per cluster."""
     verdicts, assignments = _cluster_verdicts(records, jaccard_threshold, shingle_n)
-    judged, kept, _, report = _partition(records, verdicts, "near-duplicate-cluster")
-    return [judged[i] for i in kept], assignments, report
+    result = _run(records, [("near-duplicate-cluster", lambda recs: verdicts)])
+    return result.kept, assignments, result.reports[0]
 
 
 def _asr_verdict(record: SampleRecord, threshold: float) -> FilterVerdict:
@@ -299,18 +300,20 @@ def filter_asr(
     Samples without a hypothesis, or whose reference is empty after
     normalization, are dropped unscored.
     """
-    verdicts = [_asr_verdict(r, threshold) for r in records]
-    judged, kept, _, report = _partition(records, verdicts, "asr-filter")
-    return [judged[i] for i in kept], report
+    result = _run(
+        records, [("asr-filter", lambda recs: [_asr_verdict(r, threshold) for r in recs])]
+    )
+    return result.kept, result.reports[0]
 
 
 def filter_s2tt(
     records: list[SampleRecord], threshold: float = 0.5
 ) -> tuple[list[SampleRecord], FilterReport]:
     """Keep translation samples whose target text is similar to the reference."""
-    verdicts = [_s2tt_verdict(r, threshold) for r in records]
-    judged, kept, _, report = _partition(records, verdicts, "s2tt-filter")
-    return [judged[i] for i in kept], report
+    result = _run(
+        records, [("s2tt-filter", lambda recs: [_s2tt_verdict(r, threshold) for r in recs])]
+    )
+    return result.kept, result.reports[0]
 
 
 def curate(records: list[SampleRecord], config: PipelineConfig | None = None) -> PipelineResult:
@@ -318,11 +321,10 @@ def curate(records: list[SampleRecord], config: PipelineConfig | None = None) ->
 
     Produces three stage reports; the consistency stage scores ASR samples
     by error rate and S2TT samples by similarity, passing every other
-    scenario through untouched. Records are tracked by input position, so
-    duplicate ids are kept apart and both outputs stay in input order.
+    scenario through untouched.
     """
     config = config or PipelineConfig()
-    stages = (
+    return _run(records, [
         ("dedup", lambda recs: _dedup_verdicts(recs, config.dedup_normalization)),
         (
             "near-duplicate-cluster",
@@ -331,30 +333,12 @@ def curate(records: list[SampleRecord], config: PipelineConfig | None = None) ->
             )[0],
         ),
         ("consistency-filter", lambda recs: [_consistency_verdict(r, config) for r in recs]),
-    )
-    current = list(records)
-    live = list(range(len(records)))
-    gone: list[int] = []
-    reports = []
-    for stage, verdicts_of in stages:
-        batch = [current[i] for i in live]
-        judged, kept, dropped, report = _partition(batch, verdicts_of(batch), stage)
-        for i, rec in zip(live, judged):
-            current[i] = rec
-        gone += [live[j] for j in dropped]
-        live = [live[j] for j in kept]
-        reports.append(report)
-    return PipelineResult(
-        [current[i] for i in live], [current[i] for i in sorted(gone)], reports
-    )
+    ])
 
 
 def stats(records: list[SampleRecord]) -> list[dict]:
     """Counts grouped by (scenario, language, source), in first-seen order."""
-    counts: dict[tuple[str, str, str], int] = {}
-    for rec in records:
-        key = (rec.scenario.value, rec.language.value, rec.source)
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter((rec.scenario.value, rec.language.value, rec.source) for rec in records)
     return [
         {"scenario": s, "language": lang, "source": src, "count": c}
         for (s, lang, src), c in counts.items()

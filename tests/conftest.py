@@ -37,11 +37,11 @@ def make_record(
     )
 
 
-def write_pcm16_wav(path, rate, n_samples=160):
-    """A silent mono PCM16 WAV packed by hand, since `wave` refuses to write some
+def write_pcm16_wav(path, rate, n_samples=160, channels=1):
+    """A silent PCM16 WAV packed by hand, since `wave` refuses to write some
     header values (a rate of 0)."""
-    data = bytes(2 * n_samples)
-    fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
+    data = bytes(2 * channels * n_samples)
+    fmt = struct.pack("<HHIIHH", 1, channels, rate, 2 * channels * rate, 2 * channels, 16)
     path.write_bytes(
         b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
         + b"fmt " + struct.pack("<I", len(fmt)) + fmt

@@ -213,6 +213,17 @@ def test_audio_profile_rejects_truncated_wav(tmp_path, capsys, size):
     assert err == f"error: {p}: not a supported RIFF/WAVE file: header is cut short\n"
 
 
+# mono: 45 of 244 bytes, one byte of a sample; stereo: one and a half frames
+@pytest.mark.parametrize("channels, size", [(1, 45), (2, 50)])
+def test_audio_profile_rejects_wav_cut_inside_frame(tmp_path, capsys, channels, size):
+    p = tmp_path / "t.wav"
+    write_pcm16_wav(p, 16000, n_samples=100, channels=channels)
+    p.write_bytes(p.read_bytes()[:size])
+    code, out, err = run(capsys, "audio-profile", "--wav", str(p))
+    assert (code, out) == (1, "")
+    assert err == f"error: {p}: data chunk ends inside a sample frame\n"
+
+
 def test_budget_to_closed_pipe_exits_cleanly(tmp_path):
     from capypipe.manifest import MediaKind, MediaRef, Scenario
 
@@ -394,6 +405,20 @@ def test_rejects_invalid_media_config(tmp_path, capsys, argv, message):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: invalid config: {message} must be ")
+    assert len(err.splitlines()) == 1
+
+
+def test_filter_rejects_unknown_dedup_normalization(tmp_path, capsys):
+    src = tmp_path / "in.jsonl"
+    write_manifest([], src)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dedup_normalization": "bogus"}))
+    code, out, err = run(
+        capsys, "filter", "--manifest", str(src), "--out", str(tmp_path / "kept.jsonl"),
+        "--config", str(cfg),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid config: ")
     assert len(err.splitlines()) == 1
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capypipe.manifest import (
+    DedupNormalization,
     FilterVerdict,
     Language,
     ManifestError,
@@ -214,6 +215,14 @@ class TestConfig:
     def test_invalid_video_fps(self, value):
         with pytest.raises(ValueError, match="video_fps"):
             PipelineConfig(video_fps=value)
+
+    def test_dedup_normalization_coerced_by_value(self):
+        cfg = PipelineConfig(dedup_normalization="none")
+        assert cfg.dedup_normalization is DedupNormalization.NONE
+
+    def test_invalid_dedup_normalization(self):
+        with pytest.raises(ValueError, match="bogus"):
+            PipelineConfig(dedup_normalization="bogus")
 
     def test_from_file_and_overrides(self, tmp_path):
         p = tmp_path / "cfg.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -108,6 +109,19 @@ class TestDedupExact:
         ]
         kept, _ = dedup_exact(recs, DedupNormalization.NONE)
         assert len(kept) == 2
+
+    def test_none_mode_by_value_keeps_case_variants(self):
+        recs = [
+            make_record(id="a", text="Hello World"),
+            make_record(id="b", text="hello  world"),
+        ]
+        kept, report = dedup_exact(recs, "none")
+        assert [r.id for r in kept] == ["a", "b"]
+        assert report.dropped == 0
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="bogus"):
+            dedup_exact([], "bogus")
 
     def test_idempotent(self):
         recs = [make_record(id=f"r{i}", text="t" * (i % 3 + 1)) for i in range(9)]
@@ -347,6 +361,64 @@ class TestRunPipeline:
         assert len(result.kept) == 1
         assert len(result.dropped) == 1
         assert result.dropped[0].verdict.metric_name == "exact-duplicate"
+
+    def test_stage_functions_agree_with_curate(self):
+        """Each public stage function keeps the records and writes the report
+        that its stage does inside `curate`."""
+        base = "the quick brown fox jumps over the lazy dog"
+        recs = [
+            make_record(id="a1", text="Good transcript here", hypothesis="good transcript here"),
+            make_record(id="a2", text="good  transcript here", hypothesis="good transcript"),
+            make_record(id="a3", text=base, hypothesis=base),
+            make_record(id="a4", text=base.replace("dog", "dig"), hypothesis=base),
+            make_record(id="a5", text="totally different words", hypothesis="zz yy xx ww"),
+            make_record(id="a6", text="no hypothesis at all"),
+            make_record(id="q1", scenario=Scenario.QA, media=(), text="what is this"),
+            make_record(id="q2", scenario=Scenario.QA, media=(), text="What is  this"),
+            make_record(
+                id="s1", scenario=Scenario.S2TT, language=Language.ZH_ENG, media=(),
+                text="matching translation text", translation="matching translation text",
+            ),
+            make_record(
+                id="s2", scenario=Scenario.S2TT, language=Language.ENG_ZH, media=(),
+                text="source sentence words", translation="qqqq pppp rrrr",
+            ),
+            make_record(
+                id="s3", scenario=Scenario.S2TT, language=Language.ENG_ZH, media=(),
+                text="a sentence without its translation",
+            ),
+        ]
+        config = PipelineConfig()
+        result = curate(recs, config)
+        dedup_report, cluster_report, consistency_report = result.reports
+        dropped_at = {r.id: r.verdict.stage for r in result.dropped}
+
+        def survivors(*stages):
+            return [r.id for r in recs if dropped_at.get(r.id) not in stages]
+
+        kept, report = dedup_exact(recs, config.dedup_normalization)
+        assert report == dedup_report
+        assert [r.id for r in kept] == survivors("dedup")
+        kept, _, report = cluster_prune(kept, config.cluster_jaccard_threshold, config.shingle_n)
+        assert report == cluster_report
+        assert [r.id for r in kept] == survivors("dedup", "near-duplicate-cluster")
+        assert (dedup_report.dropped, cluster_report.dropped) == (2, 1)
+
+        # alone, the ASR or S2TT records of `kept` pass dedup and clustering
+        # untouched, so `curate` runs only its consistency stage on them
+        for scenario, stage_fn, threshold in [
+            (Scenario.ASR, filter_asr, config.wer_threshold),
+            (Scenario.S2TT, filter_s2tt, config.s2tt_similarity_threshold),
+        ]:
+            part = [r for r in kept if r.scenario is scenario]
+            alone = curate(part, config)
+            part_kept, report = stage_fn(part, threshold)
+            assert [r.dropped for r in alone.reports[:2]] == [0, 0]
+            assert part_kept == alone.kept
+            assert dataclasses.replace(report, stage="consistency-filter") == alone.reports[2]
+            assert report.dropped == 2
+        assert consistency_report.input_count == len(kept)
+        assert [r.id for r in result.kept] == ["a1", "a3", "q1", "s1"]
 
     def test_dropped_records_carry_verdicts(self):
         recs = [
