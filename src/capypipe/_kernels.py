@@ -12,44 +12,36 @@ HAVE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
-# bilinear image resize (half-pixel centers, border clamp)
+# bilinear blend, shared by image resize and position-embedding interpolation
+
+def _bilinear(src: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Blend an (H, W, C) array at rows ys and columns xs, both within the source."""
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, src.shape[0] - 1)
+    x1 = np.minimum(x0 + 1, src.shape[1] - 1)
+    fy = (ys - y0)[:, None, None]
+    fx = (xs - x0)[None, :, None]
+    # every source row horizontally, then vertically: a four-neighbour blend's float order
+    rows = src[:, x0] * (1.0 - fx) + src[:, x1] * fx
+    return rows[y0] * (1.0 - fy) + rows[y1] * fy
+
 
 def bilinear_resize_u8(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    in_h, in_w, ch = src.shape
+    """Image resize: half-pixel centers, border clamp, rounded to uint8."""
+    in_h, in_w, _ = src.shape
     sy = (np.arange(out_h, dtype=np.float64) + 0.5) * (in_h / out_h) - 0.5
     sx = (np.arange(out_w, dtype=np.float64) + 0.5) * (in_w / out_w) - 0.5
-    sy = np.clip(sy, 0.0, in_h - 1.0)
-    sx = np.clip(sx, 0.0, in_w - 1.0)
-    y0 = np.floor(sy).astype(np.int64)
-    x0 = np.floor(sx).astype(np.int64)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    fy = (sy - y0)[:, None, None]
-    fx = (sx - x0)[None, :, None]
-    f = src.astype(np.float64)
-    top = f[y0][:, x0] * (1.0 - fx) + f[y0][:, x1] * fx
-    bot = f[y1][:, x0] * (1.0 - fx) + f[y1][:, x1] * fx
-    val = top * (1.0 - fy) + bot * fy
+    val = _bilinear(src, np.clip(sy, 0.0, in_h - 1.0), np.clip(sx, 0.0, in_w - 1.0))
     return np.floor(val + 0.5).astype(np.uint8)
 
 
-# ---------------------------------------------------------------------------
-# align-corners grid interpolation (position embeddings)
-
 def grid_interp(src: np.ndarray, out_r: int, out_c: int) -> np.ndarray:
-    in_r, in_c, dim = src.shape
+    """Position-embedding interpolation: align corners, cast to float32."""
+    in_r, in_c, _ = src.shape
     sr = np.zeros(out_r) if out_r == 1 else np.arange(out_r) * ((in_r - 1) / (out_r - 1))
     sc = np.zeros(out_c) if out_c == 1 else np.arange(out_c) * ((in_c - 1) / (out_c - 1))
-    r0 = np.minimum(np.floor(sr).astype(np.int64), in_r - 1)
-    c0 = np.minimum(np.floor(sc).astype(np.int64), in_c - 1)
-    r1 = np.minimum(r0 + 1, in_r - 1)
-    c1 = np.minimum(c0 + 1, in_c - 1)
-    fr = (sr - r0)[:, None, None]
-    fc = (sc - c0)[None, :, None]
-    f = src.astype(np.float64)
-    top = f[r0][:, c0] * (1.0 - fc) + f[r0][:, c1] * fc
-    bot = f[r1][:, c0] * (1.0 - fc) + f[r1][:, c1] * fc
-    return (top * (1.0 - fr) + bot * fr).astype(np.float32)
+    return _bilinear(src, sr, sc).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

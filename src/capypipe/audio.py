@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import struct
 import wave
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,14 +36,7 @@ class AudioProfile:
     rms: float
 
     def to_json(self) -> dict:
-        return {
-            "source_rate": self.source_rate,
-            "duration": self.duration,
-            "resampled_len": self.resampled_len,
-            "n_frames": self.n_frames,
-            "n_tokens": self.n_tokens,
-            "rms": self.rms,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

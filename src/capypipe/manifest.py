@@ -129,19 +129,6 @@ class FilterVerdict:
         )
 
 
-_KNOWN_KEYS = (
-    "id",
-    "scenario",
-    "language",
-    "media",
-    "text",
-    "hypothesis",
-    "translation",
-    "source",
-    "verdict",
-)
-
-
 @dataclass(frozen=True)
 class SampleRecord:
     id: str
@@ -197,6 +184,9 @@ class SampleRecord:
             verdict=FilterVerdict.from_json(obj["verdict"]) if "verdict" in obj else None,
             extra=extra,
         )
+
+
+_KNOWN_KEYS = {f.name for f in dataclasses.fields(SampleRecord)} - {"extra"}
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .manifest import (
     DedupNormalization,
@@ -47,14 +47,7 @@ class FilterReport:
         self.metric_histogram[max(bucket, 0)] += 1
 
     def to_json(self) -> dict:
-        return {
-            "stage": self.stage,
-            "input_count": self.input_count,
-            "kept": self.kept,
-            "dropped": self.dropped,
-            "drop_reasons": self.drop_reasons,
-            "metric_histogram": self.metric_histogram,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -106,10 +106,13 @@ def resize_geometry(width: int, height: int, plan: TilePlan) -> tuple[int, int, 
     Returns (scaled_w, scaled_h, pad_x, pad_y) with padding centering the
     scaled image; at least one axis fills the canvas exactly.
     """
+    if width <= 0 or height <= 0:
+        raise ValueError(f"image dimensions must be positive, got {width}x{height}")
     rw, rh = plan.resized_width, plan.resized_height
     s = min(rw / width, rh / height)
-    scaled_w = round(s * width)
-    scaled_h = round(s * height)
+    # a side far shorter than the other would round away to nothing
+    scaled_w = max(1, round(s * width))
+    scaled_h = max(1, round(s * height))
     return scaled_w, scaled_h, (rw - scaled_w) // 2, (rh - scaled_h) // 2
 
 
@@ -117,8 +120,8 @@ def bilinear_resize(image: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     """Resize an (H, W, 3) uint8 image with half-pixel-center bilinear sampling."""
     if out_w <= 0 or out_h <= 0:
         raise ValueError(f"output dimensions must be positive, got {out_w}x{out_h}")
-    if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
-        raise ValueError("expected an (H, W, 3) uint8 image")
+    if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8 or 0 in image.shape:
+        raise ValueError(f"expected a non-empty (H, W, 3) uint8 image, got {image.shape}")
     if (image.shape[0], image.shape[1]) == (out_h, out_w):
         return image.copy()
     return _kernels.bilinear_resize_u8(image, out_h, out_w)

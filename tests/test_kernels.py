@@ -1,5 +1,6 @@
 """Kernels against hand-computed values and independent reference code."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -105,6 +106,73 @@ def test_grid_interp_keeps_corners(rng):
         _kernels.grid_interp(src, 2, 2), src[[0, -1]][:, [0, -1]].astype(np.float32)
     )
     assert np.array_equal(_kernels.grid_interp(src, 1, 1), src[:1, :1].astype(np.float32))
+
+
+def _bilinear_reference(src, ys, xs):
+    """Each output element on its own, in Python floats: its four neighbours
+    blended along x, then the two results along y."""
+    h, w, ch = src.shape
+    out = np.empty((len(ys), len(xs), ch))
+    for i, y in enumerate(ys):
+        y0 = math.floor(y)
+        y1, fy = min(y0 + 1, h - 1), y - y0
+        for j, x in enumerate(xs):
+            x0 = math.floor(x)
+            x1, fx = min(x0 + 1, w - 1), x - x0
+            for c in range(ch):
+                top = float(src[y0, x0, c]) * (1.0 - fx) + float(src[y0, x1, c]) * fx
+                bot = float(src[y1, x0, c]) * (1.0 - fx) + float(src[y1, x1, c]) * fx
+                out[i, j, c] = top * (1.0 - fy) + bot * fy
+    return out
+
+
+def _half_pixel(n_in, n_out):
+    return [min(max((i + 0.5) * (n_in / n_out) - 0.5, 0.0), n_in - 1.0) for i in range(n_out)]
+
+
+def _align_corners(n_in, n_out):
+    return [0.0 if n_out == 1 else i * ((n_in - 1) / (n_out - 1)) for i in range(n_out)]
+
+
+def _blend_shapes(rng):
+    """About 100 (in_h, in_w, out_h, out_w): every 1-row and 1-column case of
+    sources and outputs, then random up- and down-scales."""
+    shapes = [(a, b, c, d) for a in (1, 4) for b in (1, 5) for c in (1, 3) for d in (1, 7)]
+    while len(shapes) < 100:
+        shapes.append(tuple(int(v) for v in rng.integers(1, 13, size=4)))
+    return shapes
+
+
+def test_bilinear_resize_matches_scalar_reference(rng):
+    for in_h, in_w, out_h, out_w in _blend_shapes(rng):
+        src = rng.integers(0, 256, size=(in_h, in_w, int(rng.integers(1, 4))), dtype=np.uint8)
+        val = _bilinear_reference(src, _half_pixel(in_h, out_h), _half_pixel(in_w, out_w))
+        expect = np.floor(val + 0.5).astype(np.uint8)
+        out = _kernels.bilinear_resize_u8(src, out_h, out_w)
+        assert out.dtype == np.uint8
+        assert out.tobytes() == expect.tobytes(), (in_h, in_w, out_h, out_w)
+
+
+def test_grid_interp_matches_scalar_reference(rng):
+    for in_r, in_c, out_r, out_c in _blend_shapes(rng):
+        src = rng.normal(size=(in_r, in_c, int(rng.integers(1, 5)))).astype(np.float32)
+        val = _bilinear_reference(src, _align_corners(in_r, out_r), _align_corners(in_c, out_c))
+        out = _kernels.grid_interp(src, out_r, out_c)
+        assert out.dtype == np.float32
+        assert out.tobytes() == val.astype(np.float32).tobytes(), (in_r, in_c, out_r, out_c)
+
+
+def test_bilinear_resize_memory_stays_near_output_size(rng):
+    src = rng.integers(0, 256, size=(1080, 1920, 3), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        _kernels.bilinear_resize_u8(src, 1344, 1344)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # no float64 copy of the whole source: each pass holds a few float64
+    # arrays of (source rows x output columns) or of the output's size
+    assert peak < 200 * 2**20, peak
 
 
 def test_resample_blocks_do_not_change_output(rng, monkeypatch):

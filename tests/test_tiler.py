@@ -10,6 +10,7 @@ from capypipe.tiler import (
     bilinear_resize,
     grid_score,
     interpolate_pos_embed,
+    place_on_canvas,
     plan_tiles,
     read_embedding_grid,
     read_ppm,
@@ -134,6 +135,28 @@ class TestResizeGeometry:
             assert sw == plan.resized_width or sh == plan.resized_height
             assert px >= 0 and py >= 0
 
+    @pytest.mark.parametrize("w, h", [(2, 3000), (3000, 2)])
+    def test_thin_image_keeps_one_pixel_and_fills_long_axis(self, w, h):
+        plan = plan_tiles(w, h, 9, 448)
+        assert (plan.resized_width, plan.resized_height) == (448, 448)
+        sw, sh, px, py = resize_geometry(w, h, plan)
+        assert sorted((sw, sh)) == [1, 448]
+        img = np.full((h, w, 3), 7, dtype=np.uint8)
+        canvas = place_on_canvas(img, plan)
+        assert canvas.shape == (448, 448, 3)
+        assert np.all(canvas[py : py + sh, px : px + sw] == 7)
+        assert np.count_nonzero(np.all(canvas == 7, axis=2)) == 448
+
+    @pytest.mark.parametrize("w, h", [(0, 5), (5, 0), (-1, 5)])
+    def test_rejects_non_positive_dimensions(self, w, h):
+        with pytest.raises(ValueError, match="must be positive"):
+            resize_geometry(w, h, plan_tiles(5, 5, 9, 448))
+
+    @pytest.mark.parametrize("shape", [(0, 5, 3), (5, 0, 3)])
+    def test_place_rejects_empty_image(self, shape):
+        with pytest.raises(ValueError, match="must be positive"):
+            place_on_canvas(np.zeros(shape, dtype=np.uint8), plan_tiles(5, 5, 9, 448))
+
 
 class TestBilinearResize:
     def test_constant_image(self):
@@ -167,6 +190,11 @@ class TestBilinearResize:
         img = np.zeros((2, 2, 3), dtype=np.uint8)
         with pytest.raises(ValueError):
             bilinear_resize(img, 0, 2)
+
+    @pytest.mark.parametrize("shape", [(0, 5, 3), (5, 0, 3), (0, 0, 3)])
+    def test_rejects_empty_image(self, shape):
+        with pytest.raises(ValueError, match="non-empty"):
+            bilinear_resize(np.zeros(shape, dtype=np.uint8), 3, 3)
 
 
 class TestInterpolatePosEmbed:
