@@ -23,9 +23,10 @@ from .manifest import (
     PipelineConfig,
     dumps_record,
     read_manifest,
+    write_lines,
     write_manifest,
 )
-from .metrics import bleu, cer, ngram_cosine, wer
+from .metrics import MAX_NGRAM, bleu, cer, ngram_cosine, wer
 from .tiler import plan_tiles
 
 CONFIG_ENV = "CAPYPIPE_CONFIG"
@@ -59,7 +60,8 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _emit(lines: list[str], out: str | None) -> None:
-    """Write each line, LF-terminated, to `out` (or stdout), with no joined copy."""
+    """Write each line, LF-terminated, to `out` (or stdout), with no joined copy;
+    `out` ends whole or untouched (`manifest.write_lines`)."""
     if not out:
         try:
             sys.stdout.writelines(f"{line}\n" for line in lines)
@@ -70,8 +72,7 @@ def _emit(lines: list[str], out: str | None) -> None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     try:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(f"{line}\n" for line in lines)
+        write_lines(out, lines)
     except OSError as exc:
         raise CliError(f"cannot write {out}: {exc}", EXIT_IO) from exc
 
@@ -84,8 +85,7 @@ def _dumps(obj) -> str:
 # subcommands
 
 
-def cmd_plan_tiles(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def cmd_plan_tiles(args: argparse.Namespace, config: PipelineConfig) -> int:
     plan = plan_tiles(args.width, args.height, config.max_slices, config.cell_size)
     _emit(
         [
@@ -106,24 +106,25 @@ def cmd_plan_tiles(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_budget(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def cmd_budget(args: argparse.Namespace, config: PipelineConfig) -> int:
     lines = []
     for rec in read_manifest(args.manifest):
         layout = tokens_mod.assemble_layout(rec, config)
-        lines.append(_dumps({"id": rec.id, **layout.to_json()}))
+        # the text `_dumps({"id": rec.id, **layout.to_json()})` gives, without the dicts
+        lines.append(
+            f'{{"id":{_dumps(rec.id)},"total":{layout.total},"segments":{layout.segments_json()}}}'
+        )
     _emit(lines, args.out)
     return EXIT_OK
 
 
-def cmd_audio_profile(args: argparse.Namespace) -> int:
+def cmd_audio_profile(args: argparse.Namespace, config: PipelineConfig) -> int:
     prof = audio_mod.profile(args.wav)
     _emit([_dumps(prof.to_json())], args.out)
     return EXIT_OK
 
 
-def cmd_video_schedule(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def cmd_video_schedule(args: argparse.Namespace, config: PipelineConfig) -> int:
     sched = video_mod.schedule(args.duration, config.video_fps, config.video_frame_cap)
     _emit([_dumps(list(sched.timestamps))], args.out)
     return EXIT_OK
@@ -146,7 +147,7 @@ def _read_tsv(path: str) -> dict[str, str]:
     return out
 
 
-def cmd_metrics(args: argparse.Namespace) -> int:
+def cmd_metrics(args: argparse.Namespace, config: PipelineConfig) -> int:
     refs = _read_tsv(args.ref)
     hyps = _read_tsv(args.hyp)
     missing = [k for k in refs if k not in hyps]
@@ -178,8 +179,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_filter(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> int:
     if not args.out:
         raise CliError("filter requires --out for the kept manifest", EXIT_INVALID)
     result = pipeline_mod.curate(read_manifest(args.manifest), config)
@@ -205,7 +205,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
+def cmd_stats(args: argparse.Namespace, config: PipelineConfig) -> int:
     lines = [_dumps(row) for row in pipeline_mod.stats(read_manifest(args.manifest))]
     _emit(lines, args.out)
     return EXIT_OK
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("metric", choices=("wer", "cer", "bleu", "sim"))
     p.add_argument("--ref", required=True, help="reference TSV (id<TAB>text)")
     p.add_argument("--hyp", required=True, help="hypothesis TSV (id<TAB>text)")
-    p.add_argument("--ngram", type=int, default=3, help="n-gram size for sim")
+    p.add_argument("--ngram", type=int, default=3, help=f"n-gram size for sim (1..{MAX_NGRAM})")
     _add_common(p)
     p.set_defaults(func=cmd_metrics)
 
@@ -290,7 +290,9 @@ def dispatch(argv: list[str]) -> int:
     A failure prints one `error:` line to stderr."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # loaded for every subcommand, also those that read no field of it, so
+        # that a bad --config or $CAPYPIPE_CONFIG fails the same way everywhere
+        return args.func(args, _load_config(args))
     except CliError as exc:
         message, code = str(exc), exc.code
     except (ValueError, ManifestError, audio_mod.AudioFormatError) as exc:

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 
 class Scenario(str, Enum):
@@ -309,14 +311,33 @@ def read_manifest(path: str | Path) -> list[SampleRecord]:
     return records
 
 
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line, LF-terminated, as UTF-8, so that the file at `path` ends
+    whole or untouched: the lines go to a temp file beside it, which then
+    replaces it. An existing non-regular file (a device, a pipe) is written in
+    place, since replacing it would not reach the reader behind it."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(f"{line}\n" for line in lines)
+        return
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        # a plain open, not mkstemp, so that the file's mode follows the umask
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(f"{line}\n" for line in lines)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def write_manifest(records: list[SampleRecord], path: str | Path) -> None:
-    """Write records as UTF-8 JSONL, LF-terminated, validating invariants first."""
+    """Write records as UTF-8 JSONL, LF-terminated, validating invariants first;
+    the file ends whole or untouched (`write_lines`)."""
     for rec in records:
         problems = validate(rec)
         if problems:
             raise ManifestError(f"record {rec.id!r} invalid: {'; '.join(problems)}")
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            fh.write(dumps_record(rec))
-            fh.write("\n")
+    write_lines(path, map(dumps_record, records))

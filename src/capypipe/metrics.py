@@ -11,6 +11,8 @@ from typing import Sequence
 from . import _kernels
 
 _BOUNDARY = ""
+# the padded n-grams of a text hold about n * (len + n) characters
+MAX_NGRAM = 100
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,8 @@ def _char_ngrams(text: str, n: int, pad: bool) -> Counter:
 
 def ngram_cosine(a: str, b: str, n: int = 3) -> float:
     """Cosine similarity of boundary-padded character n-gram count vectors."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not 1 <= n <= MAX_NGRAM:
+        raise ValueError(f"n must be in 1..{MAX_NGRAM}, got {n}")
     va = _char_ngrams(a, n, pad=True)
     vb = _char_ngrams(b, n, pad=True)
     if not va and not vb:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -180,6 +181,86 @@ def test_budget_videos_sharing_a_path(tmp_path, capsys):
     assert len(frames) == 3 + 128
 
 
+# the refs `budget` must render: 1- and 10-unit images, videos of 0 s, under a
+# second and past the 128-frame cap, audio of 0 tokens and of some
+_BUDGET_REF = st.one_of(
+    st.sampled_from([("Image", 448, 448), ("Image", 1344, 1344), ("Video", 0.0),
+                     ("Video", 0.5), ("Video", 500.0), ("Audio", 0.0), ("Audio", 0.03)]),
+    st.tuples(st.just("Audio"), st.floats(0.04, 4000.0)),
+)
+# quotes, backslashes, control characters, non-ASCII and astral characters
+_BUDGET_ID = st.text(
+    st.sampled_from('"\\\x00\x1f\x7f\u2028é中\U0001F600a')
+    | st.characters(exclude_categories=("Cs",)),
+    min_size=1,
+)
+
+
+def _explicit_segments(rec):
+    """Oracle: every segment of the record, one unit at a time."""
+    from capypipe.manifest import MediaKind
+    from capypipe.tiler import plan_tiles
+    from capypipe.tokens import SegmentKind, audio_budget
+    from capypipe.video import schedule
+
+    segments = []
+    for ref in rec.media:
+        if ref.kind is MediaKind.AUDIO:
+            count = audio_budget(ref.duration)
+            segments += [(SegmentKind.AUDIO, count)] if count else []
+            continue
+        if ref.kind is MediaKind.IMAGE:
+            kind, units = SegmentKind.IMAGE_UNIT, plan_tiles(ref.width, ref.height, 9, 448).units
+        else:
+            kind, units = SegmentKind.VIDEO_FRAME, len(schedule(ref.duration, 1.0, 128).timestamps)
+        for unit in range(units):
+            if unit:
+                segments.append((SegmentKind.SEPARATOR, 1))
+            segments += [(kind, 256), (SegmentKind.ROW_BREAK, 16)]
+    if rec.text.split():
+        segments.append((SegmentKind.TEXT, len(rec.text.split())))
+    return segments
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(_BUDGET_ID, min_size=1, max_size=5, unique=True),
+    refs=st.lists(st.lists(_BUDGET_REF, max_size=4), min_size=5, max_size=5),
+    texts=st.lists(st.sampled_from(["", "  ", "one", "a b c d"]), min_size=5, max_size=5),
+)
+def test_budget_lines_match_the_dict_encoder(tmp_path_factory, ids, refs, texts):
+    from capypipe.manifest import MediaKind, MediaRef, PipelineConfig, Scenario
+    from capypipe.tokens import assemble_layout
+
+    def ref(spec):
+        if spec[0] == "Image":
+            return MediaRef(kind=MediaKind.IMAGE, path="i", width=spec[1], height=spec[2])
+        return MediaRef(kind=MediaKind(spec[0]), path="m", duration=spec[1])
+
+    recs = [make_record(id=i, scenario=Scenario.QA, media=[ref(r) for r in rs], text=t)
+            for i, rs, t in zip(ids, refs, texts)]
+    work = tmp_path_factory.mktemp("budget")
+    write_manifest(recs, work / "in.jsonl")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = dispatch(["budget", "--manifest", str(work / "in.jsonl"),
+                         "--out", str(work / "out.jsonl")])
+    assert (code, err.getvalue()) == (0, "")
+    # ids may hold U+2028 and the like, which splitlines() would split on
+    lines = (work / "out.jsonl").read_bytes().decode("utf-8").split("\n")
+    assert lines.pop() == ""
+    assert len(lines) == len(recs)
+    for rec, line in zip(recs, lines):
+        segments = _explicit_segments(rec)
+        layout = assemble_layout(rec, PipelineConfig())
+        total = sum(count for _, count in segments)
+        assert (layout.segments, layout.total) == (tuple(segments), total)
+        # the encoder `budget` used before it wrote lines from cached fragments
+        expected = {"id": rec.id, "total": total,
+                    "segments": [{"kind": k, "count": c} for k, c in segments]}
+        assert line == json.dumps(expected, ensure_ascii=False, separators=(",", ":"))
+
+
 def test_audio_profile(tmp_path, capsys):
     import numpy as np
 
@@ -336,6 +417,61 @@ def test_config_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CAPYPIPE_CONFIG", str(cfg))
     code, out, _ = run(capsys, "plan-tiles", "--width", "1344", "--height", "1344")
     assert json.loads(out)["rows"] == 2
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("config, code", [("missing", 2), ("malformed", 1)])
+@pytest.mark.parametrize("command", ["stats", "metrics", "audio-profile"])
+def test_config_is_loaded_by_commands_that_read_no_field(
+    tmp_path, capsys, monkeypatch, command, config, code, via
+):
+    write_manifest([make_record(id="a")], tmp_path / "m.jsonl")
+    (tmp_path / "r.tsv").write_text("a\thello\n")
+    write_pcm16_wav(tmp_path / "a.wav", 16000)
+    cfg = tmp_path / "cfg.json"
+    if config == "malformed":
+        cfg.write_text("{not json")
+    argv = {"stats": ["stats", "--manifest", str(tmp_path / "m.jsonl")],
+            "metrics": ["metrics", "wer", "--ref", str(tmp_path / "r.tsv"),
+                        "--hyp", str(tmp_path / "r.tsv")],
+            "audio-profile": ["audio-profile", "--wav", str(tmp_path / "a.wav")]}[command]
+    if via == "flag":
+        argv += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("CAPYPIPE_CONFIG", str(cfg))
+    result = run(capsys, *argv)
+    message = f"error: cannot read {cfg}: " if code == 2 else "error: invalid config: "
+    assert result[:2] == (code, "")
+    assert result[2].startswith(message)
+    assert len(result[2].splitlines()) == 1
+
+
+@pytest.mark.parametrize("ngram", ["0", "101", "99999999999999999999"])
+def test_metrics_sim_rejects_ngram_out_of_range(tmp_path, capsys, ngram):
+    tsv = tmp_path / "r.tsv"
+    tsv.write_text("a\thello\n")
+    code, out, err = run(
+        capsys, "metrics", "sim", "--ref", str(tsv), "--hyp", str(tsv), "--ngram", ngram
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: id 'a': n must be in 1..100, got {ngram}\n"
+
+
+def test_output_write_failing_midway_leaves_old_file_and_no_temp(tmp_path):
+    from capypipe.cli import CliError, _emit
+
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(b"old\n")
+
+    def lines():
+        yield "first"
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with pytest.raises(CliError, match=f"^cannot write {out}: ") as info:
+        _emit(lines(), str(out))
+    assert info.value.code == 2
+    assert out.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["out.jsonl"]
 
 
 def test_help_lists_defaults(capsys):

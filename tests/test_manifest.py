@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from capypipe.manifest import (
     Scenario,
     read_manifest,
     validate,
+    write_lines,
     write_manifest,
 )
 
@@ -87,6 +91,41 @@ def test_write_rejects_invalid_verdict(tmp_path):
     rec = make_record(verdict=FilterVerdict(kept=False))
     with pytest.raises(ManifestError, match="stage"):
         write_manifest([rec], tmp_path / "m.jsonl")
+
+
+def test_write_failing_midway_leaves_old_file_and_no_temp(tmp_path):
+    p = tmp_path / "m.jsonl"
+    write_manifest([make_record(id="old")], p)
+    old = p.read_bytes()
+    # the lone surrogate of the second record fails its encode after the first is written
+    recs = [make_record(id="a"), make_record(id="b", text="x\ud800")]
+    with pytest.raises(UnicodeEncodeError):
+        write_manifest(recs, p)
+    assert p.read_bytes() == old
+    assert os.listdir(tmp_path) == ["m.jsonl"]
+
+
+def test_written_file_mode_follows_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_manifest([make_record()], tmp_path / "m.jsonl")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "m.jsonl").st_mode) == 0o640
+
+
+def test_write_lines_writes_a_fifo_in_place(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_lines(fifo, ["a", "b"])
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == [b"a\nb\n"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["fifo"]
 
 
 def test_unknown_fields_round_trip(tmp_path):

@@ -137,6 +137,14 @@ class TestNgramCosine:
         with pytest.raises(ValueError):
             ngram_cosine("", "", 1)
 
+    @pytest.mark.parametrize("n", [0, -1, 101, 10**20])
+    def test_n_out_of_range_rejected(self, n):
+        with pytest.raises(ValueError, match=r"^n must be in 1\.\.100, got "):
+            ngram_cosine("abc", "abd", n)
+
+    def test_largest_n_accepted(self):
+        assert ngram_cosine("abc", "abc", 100) == 1.0
+
 
 class TestJaccard:
     def test_identical(self):

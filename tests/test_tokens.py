@@ -127,7 +127,7 @@ class TestImageBudget:
 
 class TestTokenLayout:
     def test_total_is_sum_of_counts(self):
-        layout = TokenLayout(((SegmentKind.AUDIO, 25), (SegmentKind.TEXT, 3)))
+        layout = TokenLayout(((((SegmentKind.AUDIO, 25), (SegmentKind.TEXT, 3)), 1),))
         assert layout.total == 28
         assert layout.to_json() == {
             "total": 28,
@@ -137,7 +137,16 @@ class TestTokenLayout:
     @pytest.mark.parametrize("count", [0, -1])
     def test_rejects_non_positive_count(self, count):
         with pytest.raises(ValueError, match="segment counts must be positive"):
-            TokenLayout(((SegmentKind.TEXT, 2), (SegmentKind.AUDIO, count)))
+            TokenLayout(((((SegmentKind.TEXT, 2),), 1), (((SegmentKind.AUDIO, count),), 3)))
+
+    @pytest.mark.parametrize("repeat", [0, -1])
+    def test_rejects_run_repeated_less_than_once(self, repeat):
+        with pytest.raises(ValueError, match="a run must repeat a non-empty block at least once"):
+            TokenLayout(((((SegmentKind.TEXT, 2),), 1), (((SegmentKind.AUDIO, 5),), repeat)))
+
+    def test_rejects_empty_block(self):
+        with pytest.raises(ValueError, match="a run must repeat a non-empty block at least once"):
+            TokenLayout((((), 2),))
 
 
 class TestAudioBudget:
