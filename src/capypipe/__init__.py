@@ -41,6 +41,6 @@ from .tokens import (
     flatten_with_row_breaks,
     image_budget,
 )
-from .video import FrameSchedule, schedule
+from .video import FrameSchedule, frame_count, schedule
 
 __version__ = "0.1.0"

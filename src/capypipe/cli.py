@@ -9,6 +9,7 @@ or $CAPYPIPE_CONFIG), which overrides built-in defaults.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -59,6 +60,16 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         raise CliError(f"invalid config: {exc}", EXIT_INVALID) from exc
 
 
+@contextlib.contextmanager
+def _writing():
+    """Turn an `OSError` of `write_lines` (which names the target path) into
+    the `cannot write` failure."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"cannot write {exc.filename}: {exc.strerror}", EXIT_IO) from exc
+
+
 def _emit(lines: list[str], out: str | None) -> None:
     """Write each line, LF-terminated, to `out` (or stdout), with no joined copy;
     `out` ends whole or untouched (`manifest.write_lines`)."""
@@ -71,10 +82,8 @@ def _emit(lines: list[str], out: str | None) -> None:
             # at exit cannot fail too, as the SIGPIPE note of the signal docs does
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
-    try:
-        write_lines(out, lines)
-    except OSError as exc:
-        raise CliError(f"cannot write {out}: {exc}", EXIT_IO) from exc
+    with _writing():
+        write_lines({out: lines})
 
 
 def _dumps(obj) -> str:
@@ -132,6 +141,7 @@ def cmd_video_schedule(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 def _read_tsv(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
+    seen: dict[str, int] = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -143,6 +153,9 @@ def _read_tsv(path: str) -> dict[str, str]:
             if "\t" not in line:
                 raise ValueError(f"{path}:{lineno}: expected two tab-separated columns")
             key, value = line.split("\t", 1)
+            if key in seen:
+                raise ValueError(f"{path}: duplicate id {key!r} on lines {seen[key]} and {lineno}")
+            seen[key] = lineno
             out[key] = value
     return out
 
@@ -183,20 +196,20 @@ def cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> int:
     if not args.out:
         raise CliError("filter requires --out for the kept manifest", EXIT_INVALID)
     result = pipeline_mod.curate(read_manifest(args.manifest), config)
-    try:
-        write_manifest(result.kept, args.out)
-    except OSError as exc:
-        raise CliError(f"cannot write {args.out}: {exc}", EXIT_IO) from exc
+    also = {}
     if args.dropped:
-        _emit([dumps_record(rec) for rec in result.dropped], args.dropped)
+        also[args.dropped] = [dumps_record(rec) for rec in result.dropped]
     if args.report:
         try:
             os.makedirs(args.report, exist_ok=True)
         except OSError as exc:
-            raise CliError(f"cannot write {args.report}: {exc}", EXIT_IO) from exc
+            raise CliError(f"cannot write {args.report}: {exc.strerror}", EXIT_IO) from exc
         for rep in result.reports:
             text = json.dumps(rep.to_json(), ensure_ascii=False, indent=2, sort_keys=True)
-            _emit([text], os.path.join(args.report, f"{rep.stage}.json"))
+            also[os.path.join(args.report, f"{rep.stage}.json")] = [text]
+    # every output is written, or none is replaced
+    with _writing():
+        write_manifest(result.kept, args.out, also)
     for rep in result.reports:
         print(
             f"{rep.stage}: {rep.input_count} in, {rep.kept} kept, {rep.dropped} dropped",

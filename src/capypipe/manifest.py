@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
 
 class Scenario(str, Enum):
@@ -214,7 +214,7 @@ class PipelineConfig:
                 _number(f.name, val, optional=False)
             # every int field is a count or a size
             elif f.type == "int" and (not isinstance(val, int) or isinstance(val, bool) or val < 1):
-                raise ValueError(f"{f.name} must be an integer >= 1, got {val}")
+                raise ValueError(f"{f.name} must be an integer >= 1, got {val!r}")
         if not 0.0 < self.wer_threshold <= 1.0:
             raise ValueError(f"wer_threshold must be in (0, 1], got {self.wer_threshold}")
         if not 0.0 < self.s2tt_similarity_threshold <= 1.0:
@@ -311,33 +311,47 @@ def read_manifest(path: str | Path) -> list[SampleRecord]:
     return records
 
 
-def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write each line, LF-terminated, as UTF-8, so that the file at `path` ends
-    whole or untouched: the lines go to a temp file beside it, which then
-    replaces it. An existing non-regular file (a device, a pipe) is written in
-    place, since replacing it would not reach the reader behind it."""
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(f"{line}\n" for line in lines)
-        return
-    head, name = os.path.split(path)
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+def write_lines(files: Mapping[str | Path, Iterable[str]]) -> None:
+    """Write each path's lines, LF-terminated, as UTF-8, so that the files end
+    whole or untouched together: every file's lines go to a temp file beside
+    it, and only when all are written do the temp files replace their targets.
+    An existing non-regular file (a device, a pipe) is written in place, since
+    replacing it would not reach the reader behind it. An `OSError` names the
+    target path, not its temp file."""
+    renames: list[tuple[str, str | Path]] = []
+    path: str | Path = ""
     try:
-        # a plain open, not mkstemp, so that the file's mode follows the umask
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(f"{line}\n" for line in lines)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        for i, (path, lines) in enumerate(files.items()):
+            if os.path.exists(path) and not os.path.isfile(path):
+                target = path
+            else:
+                head, name = os.path.split(path)
+                target = os.path.join(head, f".{name}.{os.getpid()}.{i}.tmp")
+                renames.append((target, path))
+            # a plain open, not mkstemp, so that the file's mode follows the umask
+            with open(target, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(f"{line}\n" for line in lines)
+        for target, path in renames:
+            os.replace(target, path)
+    except BaseException as exc:
+        for target, _ in renames:
+            with contextlib.suppress(OSError):
+                os.remove(target)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 
-def write_manifest(records: list[SampleRecord], path: str | Path) -> None:
+def write_manifest(
+    records: list[SampleRecord],
+    path: str | Path,
+    also: Mapping[str | Path, Iterable[str]] | None = None,
+) -> None:
     """Write records as UTF-8 JSONL, LF-terminated, validating invariants first;
-    the file ends whole or untouched (`write_lines`)."""
+    the file, and each file of `also` with its lines, ends whole or untouched
+    together (`write_lines`)."""
     for rec in records:
         problems = validate(rec)
         if problems:
             raise ManifestError(f"record {rec.id!r} invalid: {'; '.join(problems)}")
-    write_lines(path, map(dumps_record, records))
+    write_lines({path: map(dumps_record, records), **(also or {})})

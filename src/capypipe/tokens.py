@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,9 +24,6 @@ COMPRESSED_GRID = (16, 16)
 COMPRESSED_TOKENS = 256
 ROW_BREAKS_PER_UNIT = 16
 UNIT_TOKENS = COMPRESSED_TOKENS + ROW_BREAKS_PER_UNIT  # 272
-
-# guards float noise when durations arrive as decimal literals (e.g. 2.37 * 100)
-_EPS = 1e-6
 
 
 class SegmentKind(str, Enum):
@@ -127,12 +122,9 @@ def image_budget(plan: TilePlan) -> TokenLayout:
 
 
 def audio_budget(duration: float) -> int:
-    """Token count for audio: 100 frames/s, conv stride 2, then pooling stride 2."""
-    # counted in float arithmetic, so an int product too large for a float fails here
-    if not (0 <= duration <= sys.float_info.max and float(duration) * 100 < math.inf):
-        raise ValueError(f"duration must be >= 0 with a finite frame count, got {duration}")
-    frames = math.floor(float(duration) * 100 + _EPS)
-    return (frames // 2) // 2
+    """Token count for audio: 100 frames/s (counted by the video frame rule),
+    conv stride 2, then pooling stride 2."""
+    return video._frames(duration, 100) // 4
 
 
 def text_budget(text: str) -> int:
@@ -149,8 +141,8 @@ def _media_runs(ref: MediaRef, config: PipelineConfig) -> tuple[Run, ...]:
     if ref.duration is None:
         raise ValueError("lacks duration")
     if ref.kind is MediaKind.VIDEO:
-        sched = video.schedule(ref.duration, config.video_fps, config.video_frame_cap)
-        return _unit_runs(SegmentKind.VIDEO_FRAME, len(sched.timestamps))
+        frames = video.frame_count(ref.duration, config.video_fps, config.video_frame_cap)
+        return _unit_runs(SegmentKind.VIDEO_FRAME, frames)
     count = audio_budget(ref.duration)
     return ((((SegmentKind.AUDIO, count),), 1),) if count else ()
 

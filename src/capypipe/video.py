@@ -1,4 +1,9 @@
-"""Deterministic frame-timestamp schedules under an fps and frame-cap policy."""
+"""Deterministic frame-timestamp schedules under an fps and frame-cap policy.
+
+One rule counts timed media: `duration * rate` frames, floored. `frame_count`
+applies it to video under the fps and cap, `tokens.audio_budget` to audio at
+100 frames/s, and `schedule` spreads the counted frames over the clip.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +11,7 @@ import math
 import sys
 from dataclasses import dataclass
 
+# guards float noise when durations arrive as decimal literals (e.g. 2.37 * 100)
 _EPS = 1e-6
 
 
@@ -23,6 +29,25 @@ class FrameSchedule:
             raise ValueError("schedule exceeds frame cap")
 
 
+def _frames(duration: float, rate: float) -> int:
+    """Whole frames in `duration` seconds at `rate` frames per second."""
+    # counted in float arithmetic, so an int product too large for a float fails here
+    if not (0 <= duration <= sys.float_info.max and float(duration) * rate < math.inf):
+        raise ValueError(f"duration must be >= 0 with a finite frame count, got {duration}")
+    return math.floor(float(duration) * rate + _EPS)
+
+
+def frame_count(duration: float, fps: float = 1.0, cap: int = 128) -> int:
+    """Frames `schedule(duration, fps, cap)` keeps, in O(1): 0 for 0 s, 1 for a
+    clip shorter than one frame, else the raw count capped at `cap`."""
+    if not 0 < fps <= sys.float_info.max:
+        raise ValueError(f"fps must be finite and > 0, got {fps}")
+    raw = _frames(duration, fps)
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    return min(raw, cap) if raw else int(duration > 0)
+
+
 def schedule(duration: float, fps: float = 1.0, cap: int = 128) -> FrameSchedule:
     """Sample frames at interval midpoints, uniformly subsampling above the cap.
 
@@ -30,27 +55,20 @@ def schedule(duration: float, fps: float = 1.0, cap: int = 128) -> FrameSchedule
     `cap` of them are kept at uniformly spaced indices with both endpoints
     retained.
     """
-    if not 0 < fps <= sys.float_info.max:
-        raise ValueError(f"fps must be finite and > 0, got {fps}")
-    # counted in float arithmetic, so an int product too large for a float fails here
-    if not (0 <= duration <= sys.float_info.max and float(duration) * fps < math.inf):
-        raise ValueError(
-            f"duration must be >= 0 with a finite frame count at {fps} fps, got {duration}"
-        )
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    raw_count = math.floor(float(duration) * fps + _EPS)
-    if raw_count == 0:
-        if duration == 0:
-            return FrameSchedule((), fps, cap, truncated=False)
-        return FrameSchedule((duration / 2.0,), fps, cap, truncated=False)
-    if raw_count <= cap:
-        idx = range(raw_count)
-    elif cap == 1:
-        idx = [0]
+    n = frame_count(duration, fps, cap)
+    raw = _frames(duration, fps)
+    if raw == 0:
+        # a clip shorter than one frame keeps its midpoint, and 0 s keeps nothing
+        return FrameSchedule((duration / 2.0,) * n, fps, cap, truncated=False)
+    if raw == n:
+        idx = range(n)
+    elif n == 1:
+        idx = (0,)
     else:
-        idx = sorted({round(j * (raw_count - 1) / (cap - 1)) for j in range(cap)})
+        # the step (raw - 1) / (n - 1) exceeds 1, so the rounded indices come
+        # distinct and increasing
+        idx = (round(j * (raw - 1) / (n - 1)) for j in range(n))
     # only the kept indices are turned into timestamps: O(cap) whatever the duration
     return FrameSchedule(
-        tuple((k + 0.5) / fps for k in idx), fps, cap, truncated=raw_count > cap
+        tuple((k + 0.5) / fps for k in idx), fps, cap, truncated=raw > cap
     )

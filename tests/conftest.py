@@ -37,11 +37,13 @@ def make_record(
     )
 
 
-def write_pcm16_wav(path, rate, n_samples=160, channels=1):
-    """A silent PCM16 WAV packed by hand, since `wave` refuses to write some
-    header values (a rate of 0)."""
-    data = bytes(2 * channels * n_samples)
-    fmt = struct.pack("<HHIIHH", 1, channels, rate, 2 * channels * rate, 2 * channels, 16)
+def write_pcm16_wav(path, rate, n_samples=160, channels=1, bits=16):
+    """A silent PCM WAV, 16-bit unless `bits` says otherwise, packed by hand,
+    since `wave` refuses to write some header values (a rate of 0)."""
+    block = channels * (bits // 8)
+    data = bytes(block * n_samples)
+    # the byte rate is informational; wrapped so that any rate packs
+    fmt = struct.pack("<HHIIHH", 1, channels, rate, (block * rate) % 2**32, block, bits)
     path.write_bytes(
         b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
         + b"fmt " + struct.pack("<I", len(fmt)) + fmt

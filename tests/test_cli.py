@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import errno
 import io
 import json
@@ -13,9 +14,16 @@ from hypothesis import strategies as st
 
 import capypipe
 from capypipe.cli import build_parser, dispatch
-from capypipe.manifest import read_manifest, write_manifest
+from capypipe.manifest import (
+    MediaKind,
+    MediaRef,
+    PipelineConfig,
+    Scenario,
+    read_manifest,
+    write_manifest,
+)
 
-from conftest import make_record, write_pcm16_wav
+from conftest import audio_ref, make_record, write_pcm16_wav
 
 
 def run(capsys, *argv):
@@ -124,6 +132,16 @@ def test_undecodable_input_names_file_and_line(tmp_path, capsys, command):
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {bad}:2: ")
     assert len(err.splitlines()) == 1
+
+
+def test_metrics_rejects_duplicate_tsv_id(tmp_path, capsys):
+    ref = tmp_path / "r.tsv"
+    ref.write_text("a\thello world\nb\tgood morning\na\thello there\n")
+    hyp = tmp_path / "h.tsv"
+    hyp.write_text("a\thello world\nb\tgood morning\n")
+    code, out, err = run(capsys, "metrics", "wer", "--ref", str(ref), "--hyp", str(hyp))
+    assert (code, out) == (1, "")
+    assert err == f"error: {ref}: duplicate id 'a' on lines 1 and 3\n"
 
 
 def test_budget_manifest(tmp_path, capsys):
@@ -356,6 +374,27 @@ def test_unwritable_output_is_io_error(tmp_path, capsys, flag, target):
     failed = bad / "dedup.json" if target == "report-is-directory" else bad
     assert err.startswith(f"error: cannot write {failed}: ")
     assert len(err.splitlines()) == 1
+
+
+def test_filter_replaces_no_output_when_a_later_one_fails(tmp_path, capsys):
+    src = tmp_path / "in.jsonl"
+    write_manifest([make_record(id="a", text="some text here")], src)
+    kept = tmp_path / "kept.jsonl"
+    kept.write_bytes(b"old kept\n")
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    (reports / "dedup.json").write_bytes(b"old report\n")
+    dropped = tmp_path / "nodir" / "d.jsonl"
+    code, out, err = run(
+        capsys, "filter", "--manifest", str(src), "--out", str(kept),
+        "--report", str(reports), "--dropped", str(dropped),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {dropped}: No such file or directory\n"
+    assert kept.read_bytes() == b"old kept\n"
+    assert (reports / "dedup.json").read_bytes() == b"old report\n"
+    assert sorted(os.listdir(tmp_path)) == ["in.jsonl", "kept.jsonl", "reports"]
+    assert os.listdir(reports) == ["dedup.json"]
 
 
 def test_filter_end_to_end(tmp_path, capsys):
@@ -745,6 +784,70 @@ def test_fuzzed_manifest_ends_in_exit_code_not_traceback(tmp_path_factory, recor
         if code == 1:
             assert len(err.getvalue().splitlines()) == 1
             assert err.getvalue().startswith("error: ")
+
+
+def _assert_exit_code_not_traceback(argv):
+    """Run argv: it exits 0, 1 or 2, and a failure prints one `error:` line."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert len(err.getvalue().splitlines()) == 1
+        assert err.getvalue().startswith("error: ")
+
+
+# config files: objects of known and unknown keys with the manifest fuzz's values
+# (plus the valid ones of the enum field), other JSON values, and text that is
+# not JSON at all
+_FUZZ_CONFIG = st.one_of(
+    st.dictionaries(
+        st.sampled_from([*(f.name for f in dataclasses.fields(PipelineConfig)), "bogus"]),
+        _FUZZ_VALUE | st.sampled_from(["none", "standard", None, [], {}]),
+        max_size=4,
+    ).map(json.dumps),
+    st.sampled_from([[], [1], 3, "x", None, 1e308]).map(json.dumps),
+    st.sampled_from(["", "{", "{not json", "\ufeff{}", '{"max_slices": 4,}']),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=_FUZZ_CONFIG)
+def test_fuzzed_config_ends_in_exit_code_not_traceback(tmp_path_factory, config):
+    work = tmp_path_factory.mktemp("config")
+    (work / "cfg.json").write_text(config, encoding="utf-8")
+    media = (MediaRef(kind=MediaKind.IMAGE, path="i.png", width=1344, height=900),
+             MediaRef(kind=MediaKind.VIDEO, path="v.mp4", duration=30.0), audio_ref())
+    write_manifest(
+        [make_record(id="a", scenario=Scenario.QA, media=media, text="a clip and a photo"),
+         make_record(id="b", text="clean sample text", hypothesis="clean sample text")],
+        work / "in.jsonl",
+    )
+    for argv in (["plan-tiles", "--width", "1344", "--height", "900"],
+                 ["budget", "--manifest", str(work / "in.jsonl")],
+                 ["video-schedule", "--duration", "3"],
+                 ["filter", "--manifest", str(work / "in.jsonl"), "--out", str(work / "k")]):
+        _assert_exit_code_not_traceback([*argv, "--config", str(work / "cfg.json")])
+
+
+# WAV headers: rates inside and outside 8-192 kHz, channel counts and sample
+# widths `decode_wav` does and does not take, and files cut anywhere
+@settings(max_examples=40, deadline=None)
+@given(
+    rate=st.sampled_from([0, 1, 7999, 8000, 16000, 44100, 48000, 192000, 192001, 2**32 - 1]),
+    channels=st.sampled_from([0, 1, 2, 3]),
+    bits=st.sampled_from([0, 8, 16, 24, 32]),
+    n_samples=st.integers(0, 200),
+    cut=st.none() | st.integers(0, 300),
+)
+def test_fuzzed_wav_ends_in_exit_code_not_traceback(
+    tmp_path_factory, rate, channels, bits, n_samples, cut
+):
+    wav = tmp_path_factory.mktemp("wav") / "a.wav"
+    write_pcm16_wav(wav, rate, n_samples, channels, bits)
+    if cut is not None:
+        wav.write_bytes(wav.read_bytes()[:cut])
+    _assert_exit_code_not_traceback(["audio-profile", "--wav", str(wav)])
 
 
 # argv fuzzing: each flag gets a value from a fixed pool ("2" and "0.5" are valid

@@ -120,7 +120,7 @@ def test_write_lines_writes_a_fifo_in_place(tmp_path):
     got = []
     reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
     reader.start()
-    write_lines(fifo, ["a", "b"])
+    write_lines({fifo: ["a", "b"]})
     reader.join(timeout=10)
     assert not reader.is_alive()
     assert got == [b"a\nb\n"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,6 +235,20 @@ class TestAssembleLayout:
 
     def test_zero_second_video_has_no_segments(self):
         assert self._video_layout(0.0).segments == ()
+
+    def test_long_video_is_priced_without_its_frames(self):
+        ref = MediaRef(kind=MediaKind.VIDEO, path="v.mp4", duration=4_000_000.0)
+        rec = make_record(scenario=Scenario.QA, media=(ref,), text="")
+        config = PipelineConfig(video_fps=1.0, video_frame_cap=10**8)
+        tracemalloc.start()
+        try:
+            layout = assemble_layout(rec, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert layout.total == 4_000_000 * UNIT_TOKENS + 3_999_999
+        # a timestamp per frame would take about 150 MiB
+        assert peak < 100_000
 
     def test_unpriceable_ref_names_record_and_ref(self):
         rec = make_record(media=(audio_ref(duration=-3.0),))

@@ -2,10 +2,11 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from capypipe.video import schedule
+from capypipe.tokens import audio_budget
+from capypipe.video import frame_count, schedule
 
 
 def test_ten_seconds_closed_form():
@@ -53,21 +54,41 @@ def test_invalid_args():
         schedule(1.0, 1.0, 0)
 
 
+# (duration, fps) pairs whose frame count is not a finite float
+_UNCOUNTABLE = {
+    "inf": (math.inf, 1.0), "nan": (math.nan, 1.0), "1e308x10": (1e308, 10.0),
+    "fps-inf": (1.0, math.inf), "fps-nan": (1.0, math.nan),
+    # ints whose exact product is finite, but not as a float
+    "int-1e307x1e300": (10**307, 10**300), "int-1e400": (10**400, 1.0),
+    "fps-int-1e400": (1.0, 10**400),
+}
+
+
+def _audio(duration, fps, cap):
+    # audio is counted by the same rule, at a fixed 100 frames/s
+    return audio_budget(duration)
+
+
 @pytest.mark.parametrize(
-    "duration, fps",
+    "count, duration, fps",
     [
-        (math.inf, 1.0), (math.nan, 1.0), (1e308, 10.0), (1.0, math.inf), (1.0, math.nan),
-        # ints whose exact product is finite, but not as a float
-        (10**307, 10**300), (10**400, 1.0), (1.0, 10**400),
-    ],
-    ids=[
-        "inf", "nan", "1e308x10", "fps-inf", "fps-nan",
-        "int-1e307x1e300", "int-1e400", "fps-int-1e400",
+        *(pytest.param(schedule, *pair, id=name) for name, pair in _UNCOUNTABLE.items()),
+        *(
+            pytest.param(frame_count, *pair, id=f"frame_count-{name}")
+            for name, pair in _UNCOUNTABLE.items()
+        ),
+        *(
+            pytest.param(_audio, duration, 100, id=f"audio_budget-{name}")
+            for name, duration in [
+                ("inf", math.inf), ("nan", math.nan), ("-1", -1.0), ("1e307", 1e307),
+                ("int-1e307", 10**307), ("int-1e400", 10**400),
+            ]
+        ),
     ],
 )
-def test_rejects_uncountable_frames(duration, fps):
+def test_rejects_uncountable_frames(count, duration, fps):
     with pytest.raises(ValueError, match="must be finite|finite frame count"):
-        schedule(duration, fps, 128)
+        count(duration, fps, 128)
 
 
 @settings(max_examples=200, deadline=None)
@@ -91,6 +112,22 @@ def test_subsample_is_subsequence_with_endpoints(duration, cap):
     if capped.truncated:
         assert capped.timestamps[0] == full.timestamps[0]
         assert capped.timestamps[-1] == full.timestamps[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    duration=st.just(0.0) | st.floats(0.0, 2.0) | st.floats(0.0, 1e5),
+    fps=st.floats(0.1, 60.0),
+    cap=st.just(1) | st.integers(1, 300),
+)
+@example(duration=0.0, fps=1.0, cap=1)
+@example(duration=0.2, fps=1.0, cap=1)
+@example(duration=0.2, fps=1.0, cap=128)
+@example(duration=2.37, fps=100.0, cap=1)
+@example(duration=1e5, fps=60.0, cap=2)
+@example(duration=1e5, fps=60.0, cap=300)
+def test_frame_count_is_schedule_length(duration, fps, cap):
+    assert frame_count(duration, fps, cap) == len(schedule(duration, fps, cap).timestamps)
 
 
 def test_doubling_fps_doubles_minus_one():
