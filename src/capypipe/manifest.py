@@ -13,6 +13,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
+from .metrics import MAX_NGRAM
+
 
 class Scenario(str, Enum):
     ASR = "ASR"
@@ -229,6 +231,8 @@ class PipelineConfig:
             )
         if self.max_slices > 9:
             raise ValueError(f"max_slices must be in 1..9, got {self.max_slices}")
+        if self.shingle_n > MAX_NGRAM:
+            raise ValueError(f"shingle_n must be in 1..{MAX_NGRAM}, got {self.shingle_n}")
         if self.video_fps <= 0.0:
             raise ValueError(f"video_fps must be > 0, got {self.video_fps}")
 

@@ -13,6 +13,7 @@ from . import _kernels
 _BOUNDARY = ""
 # the padded n-grams of a text hold about n * (len + n) characters
 MAX_NGRAM = 100
+_FULL_WIDTH_DIGITS = str.maketrans("０１２３４５６７８９", "0123456789")
 
 
 @dataclass(frozen=True)
@@ -27,8 +28,10 @@ class EditSummary:
 def normalize(text: str) -> str:
     """Canonical text form: NFC, lowercased, full-width digits folded,
     whitespace runs collapsed."""
-    text = unicodedata.normalize("NFC", text).lower()
-    text = text.translate(str.maketrans("０１２３４５６７８９", "0123456789"))
+    # NFC and the digit fold leave ASCII as it is
+    if text.isascii():
+        return " ".join(text.lower().split())
+    text = unicodedata.normalize("NFC", text).lower().translate(_FULL_WIDTH_DIGITS)
     return " ".join(text.split())
 
 

@@ -1,10 +1,12 @@
 """Staged manifest curation: exact dedup, near-duplicate clustering, and
 consistency filters for speech-recognition and speech-translation samples.
 
-Near-duplicate detection is an exact prefix-filter join: its candidate pairs
-provably include every pair at or above the Jaccard threshold, and each is
-verified by its exact shingle overlap, so results are identical to the O(n^2)
-brute force.
+Near-duplicate detection is an exact prefix-filter join over shingles interned
+to ints: two texts are candidates only when their rarest-first prefixes share
+two tokens (one, when a single shared shingle can reach the threshold). The
+candidates provably include every pair at or above the Jaccard threshold, and
+each is verified by its exact shingle overlap, so results are identical to
+the O(n^2) brute force.
 
 `_run` alone attaches stage verdicts to records and fills the stage reports:
 `curate` and each public stage function go through it.
@@ -156,13 +158,28 @@ def _similar_pairs(texts: list[str], threshold: float, n: int):
     the first text equal to it.
 
     The longer texts join by prefix filtering (Bayardo, Ma & Srikant, WWW
-    2007). Shingles rank rarest first; sets sharing a = _min_overlap tokens
-    share one among the first |x| - a + 1 of each. Texts are visited shortest
-    first, so a posting too short for the current text ends its list's scan.
+    2007) with the ell-prefix filter of Wang, Li & Feng (SIGMOD 2012). Each
+    shingle is interned to an int in order of first appearance, and the ids
+    rank rarest first, ties by id, so the ranks and the order of the pairs do
+    not depend on str hashing. A text's tokens are its shingles' ranks, sorted.
+
+    Texts are visited shortest first. x probes the postings of its first
+    |x| - a + ell tokens, where a = _min_overlap(|x|, threshold) and
+    ell = min(2, a), and is then indexed under the same tokens; only a y met
+    on at least ell of those lists is verified. This is exact by the
+    ell-prefix lemma: if x and y share alpha >= ell tokens, the ell rarest of
+    them lie among the first |x| - alpha + ell tokens of x, since alpha - ell
+    shared tokens follow them, and likewise of y. A pair reaching the
+    threshold shares alpha >= a tokens, so x's probed prefix is long enough.
+    y was indexed under its own a_y and ell_y. As |y| <= |x|, a_y <= a, so
+    a_y - ell_y = max(a_y - 2, 0) <= a - ell <= alpha - ell, and y's indexed
+    prefix of |y| - a_y + ell_y tokens reaches |y| - alpha + ell. Postings
+    grow in visiting order, so a text with fewer than a tokens ends a scan.
     """
     short: dict[str, int] = {}
     long_ids: list[int] = []
-    df: Counter[str] = Counter()
+    ids: dict[str, int] = {}
+    shingles: list[tuple[int, ...]] = []  # each long text's distinct shingle ids
     for i, text in enumerate(texts):
         if len(text) < n:
             first = short.setdefault(text, i)
@@ -170,32 +187,42 @@ def _similar_pairs(texts: list[str], threshold: float, n: int):
                 yield first, i
         else:
             long_ids.append(i)
-            df.update({text[k : k + n] for k in range(len(text) - n + 1)})
-    rank = {g: r for r, g in enumerate(sorted(df, key=lambda g: (df[g], g)))}
+            shingles.append(tuple(
+                {ids.setdefault(text[k : k + n], len(ids)) for k in range(len(text) - n + 1)}
+            ))
+    df = [0] * len(ids)
+    del ids
+    for ids_of_text in shingles:
+        for g in ids_of_text:
+            df[g] += 1
+    rank = [0] * len(df)
+    for r, g in enumerate(sorted(range(len(df)), key=df.__getitem__)):
+        rank[g] = r
     del df
-    tokens = [
-        tuple(sorted({rank[t[k : k + n]] for k in range(len(t) - n + 1)}))
-        for t in (texts[i] for i in long_ids)
-    ]
-    del rank
+    tokens = [sorted(map(rank.__getitem__, ids_of_text)) for ids_of_text in shingles]
+    del shingles, rank
     index: dict[int, list[int]] = {}
     for x in sorted(range(len(tokens)), key=lambda k: (len(tokens[k]), k)):
         xt = tokens[x]
         size = len(xt)
         need = _min_overlap(size, threshold)
-        candidates = set()
-        for tok in xt[: size - need + 1]:
+        ell = min(2, need)
+        hits: dict[int, int] = {}
+        for tok in xt[: size - need + ell]:
             postings = index.setdefault(tok, [])
             for y in reversed(postings):
                 if len(tokens[y]) < need:
                     break
-                candidates.add(y)
+                hits[y] = hits.get(y, 0) + 1
             postings.append(x)
-        xset = set(xt)
-        for y in candidates:
-            inter = len(xset.intersection(tokens[y]))
-            if inter / (size + len(tokens[y]) - inter) >= threshold:
-                yield long_ids[y], long_ids[x]
+        xset = None
+        for y, c in hits.items():
+            if c >= ell:
+                if xset is None:
+                    xset = set(xt)
+                inter = len(xset.intersection(tokens[y]))
+                if inter / (size + len(tokens[y]) - inter) >= threshold:
+                    yield long_ids[y], long_ids[x]
 
 
 class _UnionFind:

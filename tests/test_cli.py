@@ -537,6 +537,8 @@ def test_out_flag_writes_file(tmp_path, capsys):
     [
         ("--shingle-n", "0"),
         ("--shingle-n", "-2"),
+        ("--shingle-n", "101"),
+        ("--shingle-n", "100000000000000000000000000000"),
         ("--cluster-jaccard-threshold", "0"),
         ("--cluster-jaccard-threshold", "1.5"),
         ("--s2tt-similarity-threshold", "5"),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import unicodedata
 from collections import Counter
 
 import pytest
@@ -45,6 +46,20 @@ class TestNormalize:
 
     def test_nfc(self):
         assert normalize("é") == "é"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(st.characters(max_codepoint=127)),
+        # full-width digits, combining marks, ideographic space, dotted I, sharp s
+        st.text(st.sampled_from(list(
+            "aZ9 \t\n\x1f\x85e\uff10\uff19\u0301\u0327\u3000\u0130\u00df"
+        ))),
+    ))
+    def test_matches_the_full_path_on_any_text(self, text):
+        # NFC, lowercase and digit fold on every text; ASCII text skips them
+        full = unicodedata.normalize("NFC", text).lower()
+        full = full.translate({0xFF10 + d: str(d) for d in range(10)})
+        assert normalize(text) == " ".join(full.split())
 
 
 class TestWer:

@@ -1,10 +1,16 @@
 import dataclasses
+import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import capypipe
 from capypipe.manifest import (
     DedupNormalization,
     Language,
@@ -13,6 +19,8 @@ from capypipe.manifest import (
 )
 from capypipe.metrics import ngram_cosine, normalize
 from capypipe.pipeline import (
+    _min_overlap,
+    _similar_pairs,
     cluster_prune,
     curate,
     dedup_exact,
@@ -193,6 +201,61 @@ class TestClusterPrune:
         kept, _, _ = cluster_prune(recs, float(fraction), n)
         expect = brute_force_cluster_kept([normalize(t) for t in corpus], float(fraction), n)
         assert [r.id for r in kept] == [f"r{i}" for i in expect]
+
+    def test_one_shared_shingle_makes_a_candidate_when_a_is_one(self, rng):
+        # t = 1/8 and at most 8 distinct letters: a = 1, so ell clamps to 1
+        assert {_min_overlap(size, 0.125) for size in range(1, 9)} == {1}
+        for _ in range(200):
+            texts = ["".join(rng.choice(list("abcdefgh"), size=rng.integers(1, 6)))
+                     for _ in range(rng.integers(2, 7))]
+            recs = [make_record(id=f"r{i}", text=t) for i, t in enumerate(texts)]
+            kept, _, _ = cluster_prune(recs, 0.125, 1)
+            expect = brute_force_cluster_kept(texts, 0.125, 1)
+            assert [r.id for r in kept] == [f"r{i}" for i in expect]
+
+    def test_whole_set_is_probed_when_a_is_at_most_two(self, rng):
+        # 2 to 4 distinct letters at t = 1/2: a <= 2, so ell = a and the
+        # probed prefix of |x| - a + ell tokens is the whole set
+        assert [_min_overlap(size, 0.5) for size in (2, 3, 4)] == [1, 2, 2]
+        for _ in range(200):
+            texts = ["".join(rng.choice(list("abcdef"), size=rng.integers(2, 5), replace=False))
+                     for _ in range(rng.integers(2, 7))]
+            recs = [make_record(id=f"r{i}", text=t) for i, t in enumerate(texts)]
+            kept, _, _ = cluster_prune(recs, 0.5, 1)
+            expect = brute_force_cluster_kept(texts, 0.5, 1)
+            assert [r.id for r in kept] == [f"r{i}" for i in expect]
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.8])
+    def test_matches_brute_force_on_a_small_flat_vocabulary(self, rng, threshold):
+        # six words drawn uniformly: every trigram is common, so posting lists are long
+        vocab = ["alder", "birch", "cedar", "hazel", "larch", "maple"]
+        for _ in range(5):
+            texts = [" ".join(rng.choice(vocab, size=rng.integers(1, 9))) for _ in range(60)]
+            recs = [make_record(id=f"r{i}", text=t) for i, t in enumerate(texts)]
+            kept, _, _ = cluster_prune(recs, threshold, 3)
+            expect = brute_force_cluster_kept(texts, threshold, 3)
+            assert [r.id for r in kept] == [f"r{i}" for i in expect]
+
+    def test_pair_order_does_not_depend_on_str_hashing(self):
+        # every word is in as many texts, so shingles of different words tie on
+        # df and their rank order decides each text's prefix
+        words = ["alder", "birch", "cedar", "hazel", "larch", "maple", "olive", "rowan"]
+        texts = [" ".join(c) for c in itertools.combinations(words, 4)]
+        script = (
+            "import json, sys\n"
+            "from capypipe.pipeline import _similar_pairs\n"
+            "print(json.dumps(list(_similar_pairs(json.load(sys.stdin), 0.5, 3))))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(capypipe.__file__)))
+        runs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            out = subprocess.run([sys.executable, "-c", script], input=json.dumps(texts),
+                                 capture_output=True, text=True, env=env, check=True).stdout
+            runs.append([tuple(p) for p in json.loads(out)])
+        assert len(runs[0]) >= 100
+        assert runs[0] == runs[1] == list(_similar_pairs(texts, 0.5, 3))
 
     def test_rejects_shingle_n_below_one(self):
         with pytest.raises(ValueError, match="shingle_n"):
