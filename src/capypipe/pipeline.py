@@ -26,7 +26,7 @@ from .manifest import (
     SampleRecord,
     Scenario,
 )
-from .metrics import cer, jaccard_shingles, ngram_cosine, normalize, wer
+from .metrics import MAX_NGRAM, cer, jaccard_shingles, ngram_cosine, normalize, wer
 
 _HIST_BUCKETS = 10
 
@@ -94,7 +94,7 @@ def _run(records, stages) -> PipelineResult:
             if verdict is not None:
                 current[i] = current[i].with_verdict(verdict)
                 if verdict.metric_value is not None:
-                    report.record_metric(min(max(verdict.metric_value, 0.0), 1.0))
+                    report.record_metric(verdict.metric_value)
                 if not verdict.kept:
                     report.record_drop(_DROP_REASONS.get(verdict.metric_name, verdict.metric_name))
                     gone.append(i)
@@ -153,15 +153,17 @@ def _min_overlap(size: int, threshold: float) -> int:
 
 
 def _similar_pairs(texts: list[str], threshold: float, n: int):
-    """Yield index pairs whose exact_jaccard reaches the threshold: every such
-    pair of texts of n or more characters, and each shorter text paired with
-    the first text equal to it.
+    """Yield index pairs whose exact_jaccard reaches the threshold, enough to
+    cluster by: each text paired with the first text equal to it (Jaccard 1
+    meets any threshold in (0, 1]), and every pair of distinct texts of n or
+    more characters that reaches the threshold, by their first copies.
 
-    The longer texts join by prefix filtering (Bayardo, Ma & Srikant, WWW
-    2007) with the ell-prefix filter of Wang, Li & Feng (SIGMOD 2012). Each
-    shingle is interned to an int in order of first appearance, and the ids
-    rank rarest first, ties by id, so the ranks and the order of the pairs do
-    not depend on str hashing. A text's tokens are its shingles' ranks, sorted.
+    Only those distinct texts join, by prefix filtering (Bayardo, Ma &
+    Srikant, WWW 2007) with the ell-prefix filter of Wang, Li & Feng (SIGMOD
+    2012). Each shingle is interned to an int in order of first appearance,
+    and the ids rank rarest first, ties by id, so the ranks and the order of
+    the pairs do not depend on str hashing. A text's tokens are its
+    shingles' ranks, sorted.
 
     Texts are visited shortest first. x probes the postings of its first
     |x| - a + ell tokens, where a = _min_overlap(|x|, threshold) and
@@ -176,22 +178,21 @@ def _similar_pairs(texts: list[str], threshold: float, n: int):
     prefix of |y| - a_y + ell_y tokens reaches |y| - alpha + ell. Postings
     grow in visiting order, so a text with fewer than a tokens ends a scan.
     """
-    short: dict[str, int] = {}
-    long_ids: list[int] = []
+    first: dict[str, int] = {}
+    joined: list[int] = []  # the input index of each text in the join
     ids: dict[str, int] = {}
-    shingles: list[tuple[int, ...]] = []  # each long text's distinct shingle ids
+    shingles: list[tuple[int, ...]] = []  # each joined text's distinct shingle ids
     for i, text in enumerate(texts):
-        if len(text) < n:
-            first = short.setdefault(text, i)
-            if first != i:
-                yield first, i
-        else:
-            long_ids.append(i)
+        j = first.setdefault(text, i)
+        if j != i:
+            yield j, i
+        elif len(text) >= n:
+            joined.append(i)
             shingles.append(tuple(
                 {ids.setdefault(text[k : k + n], len(ids)) for k in range(len(text) - n + 1)}
             ))
     df = [0] * len(ids)
-    del ids
+    del ids, first
     for ids_of_text in shingles:
         for g in ids_of_text:
             df[g] += 1
@@ -222,43 +223,36 @@ def _similar_pairs(texts: list[str], threshold: float, n: int):
                     xset = set(xt)
                 inter = len(xset.intersection(tokens[y]))
                 if inter / (size + len(tokens[y]) - inter) >= threshold:
-                    yield long_ids[y], long_ids[x]
+                    yield joined[y], joined[x]
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # attach the later root under the earlier so representatives stay minimal
-            if ra < rb:
-                self.parent[rb] = ra
-            else:
-                self.parent[ra] = rb
+def _unit_interval(name: str, value: float) -> None:
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must be in (0, 1], got {value}")
 
 
 def _cluster_verdicts(records, jaccard_threshold, shingle_n):
-    if not 0.0 < jaccard_threshold <= 1.0:
-        raise ValueError(f"jaccard_threshold must be in (0, 1], got {jaccard_threshold}")
-    if shingle_n < 1:
-        raise ValueError(f"shingle_n must be >= 1, got {shingle_n}")
+    _unit_interval("jaccard_threshold", jaccard_threshold)
+    if not 1 <= shingle_n <= MAX_NGRAM:
+        raise ValueError(f"shingle_n must be in 1..{MAX_NGRAM}, got {shingle_n}")
     texts = [normalize(r.text) for r in records]
-    uf = _UnionFind(len(records))
+    parent = list(range(len(records)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     for i, j in _similar_pairs(texts, jaccard_threshold, shingle_n):
-        uf.union(i, j)
+        ri, rj = find(i), find(j)
+        # the later root goes under the earlier: a cluster's first record represents it
+        parent[max(ri, rj)] = min(ri, rj)
     cluster_ids: dict[int, int] = {}
     assignments = []
     verdicts = []
     for i, rec in enumerate(records):
-        root = uf.find(i)
+        root = find(i)
         cluster_id = cluster_ids.setdefault(root, len(cluster_ids))
         assignments.append(ClusterAssignment(rec.id, cluster_id, root == i))
         verdicts.append(None if root == i else _NEAR_DUPLICATE)
@@ -320,6 +314,7 @@ def filter_asr(
     Samples without a hypothesis, or whose reference is empty after
     normalization, are dropped unscored.
     """
+    _unit_interval("wer_threshold", threshold)
     result = _run(
         records, [("asr-filter", lambda recs: [_asr_verdict(r, threshold) for r in recs])]
     )
@@ -330,6 +325,7 @@ def filter_s2tt(
     records: list[SampleRecord], threshold: float = 0.5
 ) -> tuple[list[SampleRecord], FilterReport]:
     """Keep translation samples whose target text is similar to the reference."""
+    _unit_interval("s2tt_similarity_threshold", threshold)
     result = _run(
         records, [("s2tt-filter", lambda recs: [_s2tt_verdict(r, threshold) for r in recs])]
     )

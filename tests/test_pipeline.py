@@ -261,6 +261,39 @@ class TestClusterPrune:
         with pytest.raises(ValueError, match="shingle_n"):
             cluster_prune([make_record(text="abc")], 0.8, 0)
 
+    @pytest.mark.parametrize("shingle_n", [101, 10**29], ids=["101", "1e29"])
+    def test_rejects_shingle_n_above_max(self, shingle_n):
+        recs = [make_record(id="a", text="same text here"),
+                make_record(id="b", text="same text here!")]
+        with pytest.raises(ValueError, match=rf"shingle_n must be in 1\.\.100, got {shingle_n}"):
+            cluster_prune(recs, 0.8, shingle_n)
+
+    def test_copies_of_one_long_text_pair_only_with_the_first(self):
+        pairs = list(_similar_pairs(["the same long sentence"] * 2000, 0.8, 3))
+        assert pairs == [(0, i) for i in range(1, 2000)]
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("threshold", [0.5, 1.0])
+    def test_repeated_texts_meet_their_first_copy_once(self, rng, n, threshold):
+        # repeated long, repeated short and near-duplicate texts; already normalized
+        base = ["the quiet harbor", "the quiet harbour", "quiet harbor", "dusty road",
+                "ab", "ba", "a", ""]
+        for _ in range(20):
+            texts = [str(t) for t in rng.choice(base, size=rng.integers(2, 30))]
+            recs = [make_record(id=f"r{i}", text=t) for i, t in enumerate(texts)]
+            kept, _, _ = cluster_prune(recs, threshold, n)
+            expect = brute_force_cluster_kept(texts, threshold, n)
+            assert [r.id for r in kept] == [f"r{i}" for i in expect]
+            first: dict[str, int] = {}
+            pairs = set()
+            for i, t in enumerate(texts):
+                if first.setdefault(t, i) != i:
+                    pairs.add((first[t], i))
+            pairs |= {(i, j) for i, j in itertools.combinations(sorted(first.values()), 2)
+                      if exact_jaccard(texts[i], texts[j], n) >= threshold}
+            got = [tuple(sorted(p)) for p in _similar_pairs(texts, threshold, n)]
+            assert sorted(got) == sorted(pairs)
+
     def test_idempotent(self, rng):
         texts = ["".join(rng.choice(list("ab"), size=8)) for _ in range(30)]
         recs = [make_record(id=f"r{i}", text=t) for i, t in enumerate(texts)]
@@ -319,6 +352,13 @@ class TestFilterAsr:
         # only the scored record enters the histogram
         assert sum(report.metric_histogram) == 1
 
+    @pytest.mark.parametrize("threshold", [math.nan, 0.0, -0.1, 1.5])
+    def test_rejects_threshold_outside_unit_interval(self, threshold):
+        rec = make_record(text="same words here", hypothesis="same words here")
+        with pytest.raises(ValueError, match=r"wer_threshold must be in \(0, 1\]"):
+            filter_asr([rec], threshold)
+
+
 class TestFilterS2tt:
     def _rec(self, text, translation, id="s1"):
         return make_record(
@@ -346,6 +386,12 @@ class TestFilterS2tt:
         kept, report = filter_s2tt([self._rec("x y z", None)], 0.5)
         assert kept == []
         assert report.drop_reasons == {"no-translation": 1}
+
+    @pytest.mark.parametrize("threshold", [math.nan, 0.0, -0.1, 1.5])
+    def test_rejects_threshold_outside_unit_interval(self, threshold):
+        rec = self._rec("the same sentence", "the same sentence")
+        with pytest.raises(ValueError, match=r"s2tt_similarity_threshold must be in \(0, 1\]"):
+            filter_s2tt([rec], threshold)
 
 
 class TestRunPipeline:

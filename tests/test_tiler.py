@@ -86,6 +86,11 @@ class TestPlanTiles:
         with pytest.raises(ValueError):
             plan_tiles(100, -1)
 
+    @pytest.mark.parametrize("cell_size", [0, -448])
+    def test_rejects_cell_size_below_one(self, cell_size):
+        with pytest.raises(ValueError, match="cell_size"):
+            plan_tiles(1344, 1344, 9, cell_size)
+
     @pytest.mark.parametrize(
         "width, height",
         [(10**400, 1500), (1500, 10**400), (float("inf"), 1500), (1e308, 10**309)],
