@@ -85,19 +85,11 @@ def sinc_resample(x: np.ndarray, ratio: float, n_out: int) -> np.ndarray:
         base = np.floor(t).astype(np.int64)
         idx = base[:, None] + offs[None, :]
         tau = t[:, None] - idx
-        arg = cutoff * tau
-        sinc = np.where(
-            arg == 0.0, 1.0, np.sin(np.pi * arg) / np.where(arg == 0.0, 1.0, np.pi * arg)
-        )
         u = tau / half
-        inside = np.abs(u) <= 1.0
-        win = np.where(
-            inside, _i0_series(_KAISER_BETA * np.sqrt(np.maximum(0.0, 1.0 - u * u))), 0.0
-        )
-        win = win / i0_beta
-        w = cutoff * sinc * win
-        valid = (idx >= 0) & (idx < len(x))
-        w = np.where(valid & inside, w, 0.0)
+        win = _i0_series(_KAISER_BETA * np.sqrt(np.maximum(0.0, 1.0 - u * u))) / i0_beta
+        w = cutoff * np.sinc(cutoff * tau) * win
+        # taps past the window's edge or the signal's ends weigh nothing
+        w = np.where((np.abs(u) <= 1.0) & (idx >= 0) & (idx < len(x)), w, 0.0)
         gathered = x[np.clip(idx, 0, len(x) - 1)]
         wsum = w.sum(axis=1)
         wsum = np.where(wsum == 0.0, 1.0, wsum)

@@ -20,14 +20,17 @@ from . import pipeline as pipeline_mod
 from . import tokens as tokens_mod
 from . import video as video_mod
 from .manifest import (
+    MAX_NGRAM,
     ManifestError,
     PipelineConfig,
     dumps_record,
+    read_keyed,
     read_manifest,
+    require_valid,
     write_lines,
     write_manifest,
 )
-from .metrics import MAX_NGRAM, bleu, cer, ngram_cosine, wer
+from .metrics import bleu, cer, ngram_cosine, wer
 from .tiler import plan_tiles
 
 CONFIG_ENV = "CAPYPIPE_CONFIG"
@@ -62,8 +65,8 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
 
 @contextlib.contextmanager
 def _writing():
-    """Turn an `OSError` of `write_lines` (which names the target path) into
-    the `cannot write` failure."""
+    """Turn an `OSError` that names the path it failed on, such as one from
+    `write_lines` or `os.makedirs`, into the `cannot write` failure."""
     try:
         yield
     except OSError as exc:
@@ -139,30 +142,16 @@ def cmd_video_schedule(args: argparse.Namespace, config: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _read_tsv(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    seen: dict[str, int] = {}
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").rstrip("\r\n")
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise ValueError(f"{path}:{lineno}: expected two tab-separated columns")
-            key, value = line.split("\t", 1)
-            if key in seen:
-                raise ValueError(f"{path}: duplicate id {key!r} on lines {seen[key]} and {lineno}")
-            seen[key] = lineno
-            out[key] = value
-    return out
+def _tsv_pair(line: str) -> tuple[str, str]:
+    key, tab, value = line.rstrip("\r\n").partition("\t")
+    if not tab:
+        raise ValueError("expected two tab-separated columns")
+    return key, value
 
 
 def cmd_metrics(args: argparse.Namespace, config: PipelineConfig) -> int:
-    refs = _read_tsv(args.ref)
-    hyps = _read_tsv(args.hyp)
+    refs = read_keyed(args.ref, _tsv_pair, "line")
+    hyps = read_keyed(args.hyp, _tsv_pair, "line")
     missing = [k for k in refs if k not in hyps]
     if missing:
         raise CliError(f"hypothesis file lacks ids: {missing[:5]}", EXIT_INVALID)
@@ -195,15 +184,16 @@ def cmd_metrics(args: argparse.Namespace, config: PipelineConfig) -> int:
 def cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> int:
     if not args.out:
         raise CliError("filter requires --out for the kept manifest", EXIT_INVALID)
-    result = pipeline_mod.curate(read_manifest(args.manifest), config)
+    records = read_manifest(args.manifest)
+    # every input record, whatever its verdict would be, is checked before curation
+    require_valid(records)
+    result = pipeline_mod.curate(records, config)
     also = {}
     if args.dropped:
         also[args.dropped] = [dumps_record(rec) for rec in result.dropped]
     if args.report:
-        try:
+        with _writing():
             os.makedirs(args.report, exist_ok=True)
-        except OSError as exc:
-            raise CliError(f"cannot write {args.report}: {exc.strerror}", EXIT_IO) from exc
         for rep in result.reports:
             text = json.dumps(rep.to_json(), ensure_ascii=False, indent=2, sort_keys=True)
             also[os.path.join(args.report, f"{rep.stage}.json")] = [text]

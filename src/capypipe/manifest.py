@@ -11,9 +11,12 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
-from .metrics import MAX_NGRAM
+# the padded n-grams of a text hold about n * (len + n) characters
+MAX_NGRAM = 100
+# the most cells an image is split into
+MAX_SLICES = 9
 
 
 class Scenario(str, Enum):
@@ -62,17 +65,45 @@ def _str(key: str, val: Any, optional: bool = False) -> str | None:
     raise ValueError(f"{key} must be a string, got {type(val).__name__}")
 
 
+def _is_number(val: Any) -> bool:
+    # a bool is an int to Python, but never a count or a measure here
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _number(key: str, val: Any, optional: bool = True) -> int | float | None:
     if optional and val is None:
         return val
-    # a bool is an int to Python, but never a count or a measure here
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
+    if not _is_number(val):
         raise ValueError(f"{key} must be a number, got {type(val).__name__}")
     # Python's json reads NaN and Infinity, which JSON has not; nor does any
     # measure here exceed the float range (a huge int would overflow later)
     if not -sys.float_info.max <= val <= sys.float_info.max:
         raise ValueError(f"{key} must be a finite number, got {val}")
     return val
+
+
+def _count(name: str, value: Any, most: int | None = None) -> int:
+    """`value` as a count or a size: an int, not a bool, in 1..most (or >= 1)."""
+    is_int = _is_number(value) and isinstance(value, int)
+    if is_int and most is not None and not 1 <= value <= most:
+        raise ValueError(f"{name} must be in 1..{most}, got {value}")
+    if not is_int or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _fraction(name: str, value: Any) -> float:
+    """`value` as a threshold: a number in (0, 1]."""
+    if not (_is_number(value) and 0.0 < value <= 1.0):
+        raise ValueError(f"{name} must be in (0, 1], got {value!r}")
+    return value
+
+
+def _rate(name: str, value: Any) -> float:
+    """`value` as a rate: a number, finite and > 0."""
+    if not (_is_number(value) and 0.0 < value <= sys.float_info.max):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -206,35 +237,18 @@ class PipelineConfig:
     video_frame_cap: int = 128
 
     def __post_init__(self) -> None:
+        _fraction("wer_threshold", self.wer_threshold)
+        _fraction("s2tt_similarity_threshold", self.s2tt_similarity_threshold)
         # a value that is not a member raises ValueError
         object.__setattr__(
             self, "dedup_normalization", DedupNormalization(self.dedup_normalization)
         )
-        for f in dataclasses.fields(self):
-            val = getattr(self, f.name)
-            if f.type == "float":
-                _number(f.name, val, optional=False)
-            # every int field is a count or a size
-            elif f.type == "int" and (not isinstance(val, int) or isinstance(val, bool) or val < 1):
-                raise ValueError(f"{f.name} must be an integer >= 1, got {val!r}")
-        if not 0.0 < self.wer_threshold <= 1.0:
-            raise ValueError(f"wer_threshold must be in (0, 1], got {self.wer_threshold}")
-        if not 0.0 < self.s2tt_similarity_threshold <= 1.0:
-            raise ValueError(
-                "s2tt_similarity_threshold must be in (0, 1], "
-                f"got {self.s2tt_similarity_threshold}"
-            )
-        if not 0.0 < self.cluster_jaccard_threshold <= 1.0:
-            raise ValueError(
-                "cluster_jaccard_threshold must be in (0, 1], "
-                f"got {self.cluster_jaccard_threshold}"
-            )
-        if self.max_slices > 9:
-            raise ValueError(f"max_slices must be in 1..9, got {self.max_slices}")
-        if self.shingle_n > MAX_NGRAM:
-            raise ValueError(f"shingle_n must be in 1..{MAX_NGRAM}, got {self.shingle_n}")
-        if self.video_fps <= 0.0:
-            raise ValueError(f"video_fps must be > 0, got {self.video_fps}")
+        _fraction("cluster_jaccard_threshold", self.cluster_jaccard_threshold)
+        _count("shingle_n", self.shingle_n, MAX_NGRAM)
+        _count("max_slices", self.max_slices, MAX_SLICES)
+        _count("cell_size", self.cell_size)
+        _rate("video_fps", self.video_fps)
+        _count("video_frame_cap", self.video_frame_cap)
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides: Any) -> "PipelineConfig":
@@ -265,10 +279,9 @@ def validate(record: SampleRecord) -> list[str]:
         )
     for m in record.media:
         if m.kind is MediaKind.IMAGE:
-            if m.width is not None and m.width <= 0:
-                violations.append(f"image width must be > 0, got {m.width}")
-            if m.height is not None and m.height <= 0:
-                violations.append(f"image height must be > 0, got {m.height}")
+            for key in ("width", "height"):
+                if (val := getattr(m, key)) is not None and val <= 0:
+                    violations.append(f"image {key} must be > 0, got {val}")
         if m.kind is MediaKind.AUDIO:
             if m.duration is not None and m.duration < 0:
                 violations.append(f"audio duration must be >= 0, got {m.duration}")
@@ -280,39 +293,58 @@ def validate(record: SampleRecord) -> list[str]:
     return violations
 
 
+def require_valid(records: Iterable[SampleRecord]) -> None:
+    """Raise a `ManifestError` naming the first record that `validate` faults."""
+    for rec in records:
+        if problems := validate(rec):
+            raise ManifestError(f"record {rec.id!r} invalid: {'; '.join(problems)}")
+
+
 def dumps_record(record: SampleRecord) -> str:
     return json.dumps(record.to_json(), ensure_ascii=False, separators=(",", ":"))
 
 
-def read_manifest(path: str | Path) -> list[SampleRecord]:
-    """Read a JSONL manifest; one record per line, order preserved."""
-    path = Path(path)
-    records: list[SampleRecord] = []
-    seen: dict[str, int] = {}
-    with path.open("rb") as fh:
+def read_keyed(path: str | Path, parse: Callable[[str], tuple[str, Any]], what: str) -> dict:
+    """Read one item per line, `parse(line) -> (id, item)`, into {id: item} in
+    file order, skipping blank lines. A line not UTF-8 or that `parse` rejects
+    (KeyError, TypeError, ValueError) fails as `path:line: malformed <what>`,
+    and an id seen twice fails naming both lines; each is a `ManifestError`."""
+    items: dict[str, Any] = {}
+    lines: dict[str, int] = {}
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
                 if not line.strip():
                     continue
-                obj = json.loads(line)
-                if _SURROGATE_ESCAPE.search(line):
-                    # only a \ud800-\udfff escape can put a lone surrogate in UTF-8
-                    # text, and one would make every later write fail
-                    try:
-                        json.dumps(obj, ensure_ascii=False).encode("utf-8")
-                    except UnicodeEncodeError:
-                        raise ValueError("a string holds a lone surrogate escape") from None
-                rec = SampleRecord.from_json(obj)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ManifestError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            if rec.id in seen:
+                key, item = parse(line)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ManifestError(f"{path}:{lineno}: malformed {what}: {exc}") from exc
+            if key in lines:
                 raise ManifestError(
-                    f"{path}: duplicate id {rec.id!r} on lines {seen[rec.id]} and {lineno}"
+                    f"{path}: duplicate id {key!r} on lines {lines[key]} and {lineno}"
                 )
-            seen[rec.id] = lineno
-            records.append(rec)
-    return records
+            lines[key] = lineno
+            items[key] = item
+    return items
+
+
+def _keyed_record(line: str) -> tuple[str, SampleRecord]:
+    obj = json.loads(line)
+    if _SURROGATE_ESCAPE.search(line):
+        # only a \ud800-\udfff escape can put a lone surrogate in UTF-8 text,
+        # and one would make every later write fail
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("a string holds a lone surrogate escape") from None
+    rec = SampleRecord.from_json(obj)
+    return rec.id, rec
+
+
+def read_manifest(path: str | Path) -> list[SampleRecord]:
+    """Read a JSONL manifest; one record per line, order preserved."""
+    return list(read_keyed(path, _keyed_record, "record").values())
 
 
 def write_lines(files: Mapping[str | Path, Iterable[str]]) -> None:
@@ -354,8 +386,5 @@ def write_manifest(
     """Write records as UTF-8 JSONL, LF-terminated, validating invariants first;
     the file, and each file of `also` with its lines, ends whole or untouched
     together (`write_lines`)."""
-    for rec in records:
-        problems = validate(rec)
-        if problems:
-            raise ManifestError(f"record {rec.id!r} invalid: {'; '.join(problems)}")
+    require_valid(records)
     write_lines({path: map(dumps_record, records), **(also or {})})

@@ -9,10 +9,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _kernels
+from .manifest import MAX_NGRAM, _count
 
 _BOUNDARY = ""
-# the padded n-grams of a text hold about n * (len + n) characters
-MAX_NGRAM = 100
 _FULL_WIDTH_DIGITS = str.maketrans("０１２３４５６７８９", "0123456789")
 
 
@@ -65,8 +64,7 @@ def _char_ngrams(text: str, n: int, pad: bool) -> Counter:
 
 def ngram_cosine(a: str, b: str, n: int = 3) -> float:
     """Cosine similarity of boundary-padded character n-gram count vectors."""
-    if not 1 <= n <= MAX_NGRAM:
-        raise ValueError(f"n must be in 1..{MAX_NGRAM}, got {n}")
+    _count("n", n, MAX_NGRAM)
     va = _char_ngrams(a, n, pad=True)
     vb = _char_ngrams(b, n, pad=True)
     if not va and not vb:
@@ -82,8 +80,7 @@ def ngram_cosine(a: str, b: str, n: int = 3) -> float:
 
 def jaccard_shingles(a: str, b: str, n: int = 3) -> float:
     """Jaccard similarity of character n-gram sets (no padding)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _count("n", n)
     sa = set(_char_ngrams(a, n, pad=False))
     sb = set(_char_ngrams(b, n, pad=False))
     if not sa and not sb:

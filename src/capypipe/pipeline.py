@@ -19,14 +19,17 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .manifest import (
+    MAX_NGRAM,
     DedupNormalization,
     FilterVerdict,
     Language,
     PipelineConfig,
     SampleRecord,
     Scenario,
+    _count,
+    _fraction,
 )
-from .metrics import MAX_NGRAM, cer, jaccard_shingles, ngram_cosine, normalize, wer
+from .metrics import cer, jaccard_shingles, ngram_cosine, normalize, wer
 
 _HIST_BUCKETS = 10
 
@@ -226,15 +229,9 @@ def _similar_pairs(texts: list[str], threshold: float, n: int):
                     yield joined[y], joined[x]
 
 
-def _unit_interval(name: str, value: float) -> None:
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"{name} must be in (0, 1], got {value}")
-
-
 def _cluster_verdicts(records, jaccard_threshold, shingle_n):
-    _unit_interval("jaccard_threshold", jaccard_threshold)
-    if not 1 <= shingle_n <= MAX_NGRAM:
-        raise ValueError(f"shingle_n must be in 1..{MAX_NGRAM}, got {shingle_n}")
+    _fraction("jaccard_threshold", jaccard_threshold)
+    _count("shingle_n", shingle_n, MAX_NGRAM)
     texts = [normalize(r.text) for r in records]
     parent = list(range(len(records)))
 
@@ -274,12 +271,11 @@ def _asr_verdict(record: SampleRecord, threshold: float) -> FilterVerdict:
     """The error-rate verdict; a drop without a value when no rate is defined."""
     if record.hypothesis is None:
         return FilterVerdict(kept=False, stage="asr-filter", metric_name="no-hypothesis")
-    if not normalize(record.text):
+    score, name = (cer, "cer") if record.language is Language.ZH else (wer, "wer")
+    try:
+        summary = score(record.text, record.hypothesis)
+    except ValueError:  # no rate is defined: the reference is empty after normalization
         return FilterVerdict(kept=False, stage="asr-filter", metric_name="empty-reference")
-    if record.language is Language.ZH:
-        summary, name = cer(record.text, record.hypothesis), "cer"
-    else:
-        summary, name = wer(record.text, record.hypothesis), "wer"
     return FilterVerdict(
         kept=summary.rate <= threshold, stage="asr-filter",
         metric_name=name, metric_value=summary.rate,
@@ -314,7 +310,7 @@ def filter_asr(
     Samples without a hypothesis, or whose reference is empty after
     normalization, are dropped unscored.
     """
-    _unit_interval("wer_threshold", threshold)
+    _fraction("wer_threshold", threshold)
     result = _run(
         records, [("asr-filter", lambda recs: [_asr_verdict(r, threshold) for r in recs])]
     )
@@ -325,7 +321,7 @@ def filter_s2tt(
     records: list[SampleRecord], threshold: float = 0.5
 ) -> tuple[list[SampleRecord], FilterReport]:
     """Keep translation samples whose target text is similar to the reference."""
-    _unit_interval("s2tt_similarity_threshold", threshold)
+    _fraction("s2tt_similarity_threshold", threshold)
     result = _run(
         records, [("s2tt-filter", lambda recs: [_s2tt_verdict(r, threshold) for r in recs])]
     )
@@ -337,9 +333,10 @@ def curate(records: list[SampleRecord], config: PipelineConfig | None = None) ->
 
     Produces three stage reports; the consistency stage scores ASR samples
     by error rate and S2TT samples by similarity, passing every other
-    scenario through untouched.
+    scenario through untouched. Each output record carries only this run's verdict.
     """
     config = config or PipelineConfig()
+    records = [rec if rec.verdict is None else rec.with_verdict(None) for rec in records]
     return _run(records, [
         ("dedup", lambda recs: _dedup_verdicts(recs, config.dedup_normalization)),
         (

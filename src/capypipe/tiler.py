@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
+from .manifest import MAX_SLICES, _count
 
 PAD_GRAY = 128
 
@@ -70,10 +71,8 @@ def plan_tiles(width: int, height: int, max_slices: int = 9, cell_size: int = 44
     if width > sys.float_info.max or height > sys.float_info.max:
         # grid_score divides width by height in float arithmetic
         raise ValueError("image dimensions must lie in the float range")
-    if not 1 <= max_slices <= 9:
-        raise ValueError(f"max_slices must be in 1..9, got {max_slices}")
-    if cell_size < 1:
-        raise ValueError(f"cell_size must be >= 1, got {cell_size}")
+    _count("max_slices", max_slices, MAX_SLICES)
+    _count("cell_size", cell_size)
     # the area is clamped before the division, so no finite area overflows
     cell_area = cell_size * cell_size
     ideal = max(math.ceil(min(width * height, max_slices * cell_area) / cell_area), 1)

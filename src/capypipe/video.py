@@ -11,6 +11,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .manifest import _count, _rate
+
 # guards float noise when durations arrive as decimal literals (e.g. 2.37 * 100)
 _EPS = 1e-6
 
@@ -40,11 +42,8 @@ def _frames(duration: float, rate: float) -> int:
 def frame_count(duration: float, fps: float = 1.0, cap: int = 128) -> int:
     """Frames `schedule(duration, fps, cap)` keeps, in O(1): 0 for 0 s, 1 for a
     clip shorter than one frame, else the raw count capped at `cap`."""
-    if not 0 < fps <= sys.float_info.max:
-        raise ValueError(f"fps must be finite and > 0, got {fps}")
-    raw = _frames(duration, fps)
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+    raw = _frames(duration, _rate("fps", fps))
+    _count("cap", cap)
     return min(raw, cap) if raw else int(duration > 0)
 
 
@@ -60,14 +59,10 @@ def schedule(duration: float, fps: float = 1.0, cap: int = 128) -> FrameSchedule
     if raw == 0:
         # a clip shorter than one frame keeps its midpoint, and 0 s keeps nothing
         return FrameSchedule((duration / 2.0,) * n, fps, cap, truncated=False)
-    if raw == n:
-        idx = range(n)
-    elif n == 1:
-        idx = (0,)
-    else:
-        # the step (raw - 1) / (n - 1) exceeds 1, so the rounded indices come
-        # distinct and increasing
-        idx = (round(j * (raw - 1) / (n - 1)) for j in range(n))
+    # the step (raw - 1) / (n - 1) is at least 1, so the rounded indices come
+    # distinct and increasing; at step 1 (raw == n) index j is j exactly, and
+    # a single kept frame is the first
+    idx = (round(j * (raw - 1) / max(n - 1, 1)) for j in range(n))
     # only the kept indices are turned into timestamps: O(cap) whatever the duration
     return FrameSchedule(
         tuple((k + 0.5) / fps for k in idx), fps, cap, truncated=raw > cap

@@ -425,6 +425,43 @@ def test_filter_end_to_end(tmp_path, capsys):
     assert "dedup" in err
 
 
+@pytest.mark.parametrize("hypothesis", ["clean sample text", "other words"],
+                         ids=["would-be-kept", "would-be-dropped"])
+def test_filter_rejects_an_invalid_input_record_whatever_its_verdict(
+    tmp_path, capsys, hypothesis
+):
+    # an ASR record without its audio ref, written past write_manifest's check
+    rec = make_record(id="x", text="clean sample text", hypothesis=hypothesis, media=())
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps(rec.to_json()) + "\n")
+    kept_path, dropped_path = tmp_path / "kept.jsonl", tmp_path / "dropped.jsonl"
+    code, out, err = run(
+        capsys, "filter", "--manifest", str(src), "--out", str(kept_path),
+        "--dropped", str(dropped_path),
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: record 'x' invalid: ASR requires exactly one audio ref\n"
+    assert not kept_path.exists() and not dropped_path.exists()
+
+
+def test_filter_output_carries_only_this_runs_verdicts(tmp_path, capsys):
+    stale = {"kept": False, "stage": "dedup", "metric_name": "exact-duplicate"}
+    rows = [
+        {**make_record(id="q", scenario=Scenario.QA, text="a question").to_json(),
+         "verdict": stale},
+        {**make_record(id="a", text="clean sample text", hypothesis="clean sample text")
+         .to_json(), "verdict": stale},
+    ]
+    src = tmp_path / "in.jsonl"
+    src.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    kept_path = tmp_path / "kept.jsonl"
+    code, _, _ = run(capsys, "filter", "--manifest", str(src), "--out", str(kept_path))
+    assert code == 0
+    q, a = read_manifest(kept_path)
+    assert q.verdict is None
+    assert (a.verdict.stage, a.verdict.metric_name) == ("asr-filter", "wer")
+
+
 def test_filter_requires_out(tmp_path, capsys):
     src = tmp_path / "in.jsonl"
     write_manifest([], src)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import threading
 
@@ -17,11 +18,16 @@ from capypipe.manifest import (
     PipelineConfig,
     SampleRecord,
     Scenario,
+    read_keyed,
     read_manifest,
     validate,
     write_lines,
     write_manifest,
 )
+from capypipe.metrics import ngram_cosine
+from capypipe.pipeline import cluster_prune
+from capypipe.tiler import plan_tiles
+from capypipe.video import frame_count
 
 from conftest import audio_ref, make_record
 
@@ -275,3 +281,40 @@ class TestConfig:
         p.write_text(json.dumps({"no_such_option": 1}))
         with pytest.raises(ManifestError, match="no_such_option"):
             PipelineConfig.from_file(p)
+
+
+@pytest.mark.parametrize("value", [2.5, True], ids=["fraction", "bool"])
+@pytest.mark.parametrize(
+    "field, library",
+    [
+        ("cell_size", lambda v: plan_tiles(1344, 1344, 9, v)),
+        ("max_slices", lambda v: plan_tiles(1344, 1344, v, 448)),
+        ("video_frame_cap", lambda v: frame_count(10.0, 1.0, v)),
+        ("shingle_n", lambda v: cluster_prune([make_record(text="same text")], 0.8, v)),
+        # the n of ngram_cosine has shingle_n's rule
+        ("shingle_n", lambda v: ngram_cosine("abc", "abd", v)),
+    ],
+    ids=["cell_size", "max_slices", "video_frame_cap", "shingle_n", "ngram_n"],
+)
+def test_config_and_library_reject_a_non_integer_count_alike(field, library, value):
+    with pytest.raises(ValueError) as config_exc:
+        PipelineConfig(**{field: value})
+    with pytest.raises(ValueError) as library_exc:
+        library(value)
+    config_name, config_rule = str(config_exc.value).split(" ", 1)
+    assert config_name == field
+    assert str(library_exc.value).split(" ", 1)[1] == config_rule
+    assert config_rule == f"must be an integer >= 1, got {value!r}"
+
+
+def test_read_keyed_names_a_repeated_id_and_skips_blank_lines(tmp_path):
+    p = tmp_path / "pairs.tsv"
+
+    def pair(line):
+        return tuple(line.rstrip("\n").split("\t"))
+
+    p.write_text("a\t1\n\n  \nb\t2\n")
+    assert read_keyed(p, pair, "line") == {"a": "1", "b": "2"}
+    p.write_text("a\t1\n\n  \nb\t2\na\t3\n")
+    with pytest.raises(ManifestError, match=rf"^{re.escape(str(p))}: duplicate id 'a' on lines 1 and 5$"):
+        read_keyed(p, pair, "line")
