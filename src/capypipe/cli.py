@@ -1,9 +1,11 @@
 """Command-line interface: one subcommand per pipeline stage.
 
-JSON results go to stdout (or --out); diagnostics go to stderr. Exit codes:
-0 success, 1 invalid input, 2 I/O failure; `dispatch` alone maps a failure to
-its code and one `error:` line. Flag values override the config file (--config
-or $CAPYPIPE_CONFIG), which overrides built-in defaults.
+JSON results go to stdout (or --out); diagnostics go to stderr. Each
+subcommand but `filter` returns its output lines, and `dispatch` alone writes
+them; `filter` writes its kept, dropped and report files itself, together.
+Exit codes: 0 success, 1 invalid input, 2 I/O failure; `dispatch` alone maps a
+failure to its code and one `error:` line. Flag values override the config
+file (--config or $CAPYPIPE_CONFIG), which overrides built-in defaults.
 """
 
 from __future__ import annotations
@@ -97,28 +99,24 @@ def _dumps(obj) -> str:
 # subcommands
 
 
-def cmd_plan_tiles(args: argparse.Namespace, config: PipelineConfig) -> int:
+def cmd_plan_tiles(args: argparse.Namespace, config: PipelineConfig) -> list[str]:
     plan = plan_tiles(args.width, args.height, config.max_slices, config.cell_size)
-    _emit(
-        [
-            _dumps(
-                {
-                    "rows": plan.grid_rows,
-                    "cols": plan.grid_cols,
-                    "cell_size": plan.cell_size,
-                    "resized_width": plan.resized_width,
-                    "resized_height": plan.resized_height,
-                    "thumbnail": plan.thumbnail,
-                    "score": plan.score,
-                }
-            )
-        ],
-        args.out,
-    )
-    return EXIT_OK
+    return [
+        _dumps(
+            {
+                "rows": plan.grid_rows,
+                "cols": plan.grid_cols,
+                "cell_size": plan.cell_size,
+                "resized_width": plan.resized_width,
+                "resized_height": plan.resized_height,
+                "thumbnail": plan.thumbnail,
+                "score": plan.score,
+            }
+        )
+    ]
 
 
-def cmd_budget(args: argparse.Namespace, config: PipelineConfig) -> int:
+def cmd_budget(args: argparse.Namespace, config: PipelineConfig) -> list[str]:
     lines = []
     for rec in read_manifest(args.manifest):
         layout = tokens_mod.assemble_layout(rec, config)
@@ -126,20 +124,16 @@ def cmd_budget(args: argparse.Namespace, config: PipelineConfig) -> int:
         lines.append(
             f'{{"id":{_dumps(rec.id)},"total":{layout.total},"segments":{layout.segments_json()}}}'
         )
-    _emit(lines, args.out)
-    return EXIT_OK
+    return lines
 
 
-def cmd_audio_profile(args: argparse.Namespace, config: PipelineConfig) -> int:
-    prof = audio_mod.profile(args.wav)
-    _emit([_dumps(prof.to_json())], args.out)
-    return EXIT_OK
+def cmd_audio_profile(args: argparse.Namespace, config: PipelineConfig) -> list[str]:
+    return [_dumps(audio_mod.profile(args.wav).to_json())]
 
 
-def cmd_video_schedule(args: argparse.Namespace, config: PipelineConfig) -> int:
+def cmd_video_schedule(args: argparse.Namespace, config: PipelineConfig) -> list[str]:
     sched = video_mod.schedule(args.duration, config.video_fps, config.video_frame_cap)
-    _emit([_dumps(list(sched.timestamps))], args.out)
-    return EXIT_OK
+    return [_dumps(list(sched.timestamps))]
 
 
 def _tsv_pair(line: str) -> tuple[str, str]:
@@ -149,39 +143,35 @@ def _tsv_pair(line: str) -> tuple[str, str]:
     return key, value
 
 
-def cmd_metrics(args: argparse.Namespace, config: PipelineConfig) -> int:
+def cmd_metrics(args: argparse.Namespace, config: PipelineConfig) -> list[str]:
     refs = read_keyed(args.ref, _tsv_pair, "line")
     hyps = read_keyed(args.hyp, _tsv_pair, "line")
     missing = [k for k in refs if k not in hyps]
     if missing:
         raise CliError(f"hypothesis file lacks ids: {missing[:5]}", EXIT_INVALID)
+    if args.metric == "bleu":
+        score = bleu([refs[k].split() for k in refs], [hyps[k].split() for k in refs])
+        return [_dumps({"summary": "bleu", "count": len(refs), "value": score})]
+    value_of = {
+        "wer": lambda ref, hyp: wer(ref, hyp).rate,
+        "cer": lambda ref, hyp: cer(ref, hyp).rate,
+        "sim": lambda ref, hyp: ngram_cosine(ref, hyp, args.ngram),
+    }[args.metric]
     lines = []
     values = []
-    if args.metric == "bleu":
-        ref_corpus = [refs[k].split() for k in refs]
-        hyp_corpus = [hyps[k].split() for k in refs]
-        score = bleu(ref_corpus, hyp_corpus)
-        lines.append(_dumps({"summary": "bleu", "count": len(refs), "value": score}))
-    else:
-        for key in refs:
-            try:
-                if args.metric == "wer":
-                    value = wer(refs[key], hyps[key]).rate
-                elif args.metric == "cer":
-                    value = cer(refs[key], hyps[key]).rate
-                else:
-                    value = ngram_cosine(refs[key], hyps[key], args.ngram)
-            except ValueError as exc:
-                raise CliError(f"id {key!r}: {exc}", EXIT_INVALID) from exc
-            values.append(value)
-            lines.append(_dumps({"id": key, "metric": args.metric, "value": value}))
-        mean = sum(values) / len(values) if values else 0.0
-        lines.append(_dumps({"summary": args.metric, "count": len(values), "mean": mean}))
-    _emit(lines, args.out)
-    return EXIT_OK
+    for key in refs:
+        try:
+            value = value_of(refs[key], hyps[key])
+        except ValueError as exc:
+            raise CliError(f"id {key!r}: {exc}", EXIT_INVALID) from exc
+        values.append(value)
+        lines.append(_dumps({"id": key, "metric": args.metric, "value": value}))
+    mean = sum(values) / len(values) if values else 0.0
+    lines.append(_dumps({"summary": args.metric, "count": len(values), "mean": mean}))
+    return lines
 
 
-def cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> int:
+def cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> None:
     if not args.out:
         raise CliError("filter requires --out for the kept manifest", EXIT_INVALID)
     records = read_manifest(args.manifest)
@@ -205,13 +195,10 @@ def cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> int:
             f"{rep.stage}: {rep.input_count} in, {rep.kept} kept, {rep.dropped} dropped",
             file=sys.stderr,
         )
-    return EXIT_OK
 
 
-def cmd_stats(args: argparse.Namespace, config: PipelineConfig) -> int:
-    lines = [_dumps(row) for row in pipeline_mod.stats(read_manifest(args.manifest))]
-    _emit(lines, args.out)
-    return EXIT_OK
+def cmd_stats(args: argparse.Namespace, config: PipelineConfig) -> list[str]:
+    return [_dumps(row) for row in pipeline_mod.stats(read_manifest(args.manifest))]
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +282,10 @@ def dispatch(argv: list[str]) -> int:
     try:
         # loaded for every subcommand, also those that read no field of it, so
         # that a bad --config or $CAPYPIPE_CONFIG fails the same way everywhere
-        return args.func(args, _load_config(args))
+        lines = args.func(args, _load_config(args))
+        if lines is not None:
+            _emit(lines, args.out)
+        return EXIT_OK
     except CliError as exc:
         message, code = str(exc), exc.code
     except (ValueError, ManifestError, audio_mod.AudioFormatError) as exc:

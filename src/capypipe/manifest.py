@@ -70,8 +70,8 @@ def _is_number(val: Any) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
-def _number(key: str, val: Any, optional: bool = True) -> int | float | None:
-    if optional and val is None:
+def _number(key: str, val: Any) -> int | float | None:
+    if val is None:
         return val
     if not _is_number(val):
         raise ValueError(f"{key} must be a number, got {type(val).__name__}")
@@ -282,11 +282,10 @@ def validate(record: SampleRecord) -> list[str]:
             for key in ("width", "height"):
                 if (val := getattr(m, key)) is not None and val <= 0:
                     violations.append(f"image {key} must be > 0, got {val}")
-        if m.kind is MediaKind.AUDIO:
-            if m.duration is not None and m.duration < 0:
-                violations.append(f"audio duration must be >= 0, got {m.duration}")
-            if m.sample_rate is not None and m.sample_rate <= 0:
-                violations.append(f"audio sample_rate must be > 0, got {m.sample_rate}")
+        elif m.duration is not None and m.duration < 0:
+            violations.append(f"{m.kind.value.lower()} duration must be >= 0, got {m.duration}")
+        if m.kind is MediaKind.AUDIO and m.sample_rate is not None and m.sample_rate <= 0:
+            violations.append(f"audio sample_rate must be > 0, got {m.sample_rate}")
     if record.verdict is not None and not record.verdict.kept:
         if not record.verdict.stage or not record.verdict.metric_name:
             violations.append("dropped verdict must carry stage and metric_name")

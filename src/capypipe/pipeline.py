@@ -9,7 +9,9 @@ each is verified by its exact shingle overlap, so results are identical to
 the O(n^2) brute force.
 
 `_run` alone attaches stage verdicts to records and fills the stage reports:
-`curate` and each public stage function go through it.
+`curate` and each public stage function go through it. Every stage reads its
+parameters from the one `PipelineConfig` that `_run` passes it; the public
+stage functions build it from their arguments, so only the config checks them.
 """
 
 from __future__ import annotations
@@ -19,15 +21,12 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .manifest import (
-    MAX_NGRAM,
     DedupNormalization,
     FilterVerdict,
     Language,
     PipelineConfig,
     SampleRecord,
     Scenario,
-    _count,
-    _fraction,
 )
 from .metrics import cer, jaccard_shingles, ngram_cosine, normalize, wer
 
@@ -81,10 +80,11 @@ _EXACT_DUPLICATE = FilterVerdict(kept=False, stage="dedup", metric_name="exact-d
 _NEAR_DUPLICATE = FilterVerdict(kept=False, stage="near-duplicate-cluster", metric_name="jaccard")
 
 
-def _run(records, stages) -> PipelineResult:
-    """Run each (stage, verdicts_of) in turn; verdicts_of gives one verdict per
-    live record, and None keeps a record as is. Records are tracked by input
-    position, so duplicate ids stay apart and both outputs keep input order.
+def _run(records, stages, config: PipelineConfig) -> PipelineResult:
+    """Run each (stage, verdicts_of) in turn; verdicts_of(live records, config)
+    gives one verdict per live record, and None keeps a record as is. Records
+    are tracked by input position, so duplicate ids stay apart and both
+    outputs keep input order.
     """
     current = list(records)
     live = list(range(len(records)))
@@ -93,7 +93,7 @@ def _run(records, stages) -> PipelineResult:
     for stage, verdicts_of in stages:
         report = FilterReport(stage=stage, input_count=len(live))
         kept = []
-        for i, verdict in zip(live, verdicts_of([current[i] for i in live]), strict=True):
+        for i, verdict in zip(live, verdicts_of([current[i] for i in live], config), strict=True):
             if verdict is not None:
                 current[i] = current[i].with_verdict(verdict)
                 if verdict.metric_value is not None:
@@ -111,11 +111,17 @@ def _run(records, stages) -> PipelineResult:
     )
 
 
-def _dedup_verdicts(records, mode):
+def _each(verdict_of):
+    """A stage that gives each record `verdict_of(record, config)`."""
+    return lambda records, config: [verdict_of(rec, config) for rec in records]
+
+
+def _dedup_verdicts(records, config):
+    raw = config.dedup_normalization is DedupNormalization.NONE
     seen: set[str] = set()
     verdicts = []
     for rec in records:
-        key = rec.text if mode is DedupNormalization.NONE else normalize(rec.text)
+        key = rec.text if raw else normalize(rec.text)
         verdicts.append(_EXACT_DUPLICATE if key in seen else None)
         seen.add(key)
     return verdicts
@@ -126,8 +132,7 @@ def dedup_exact(
     mode: DedupNormalization = DedupNormalization.STANDARD,
 ) -> tuple[list[SampleRecord], FilterReport]:
     """Keep the first record for each normalized text, drop later copies."""
-    mode = DedupNormalization(mode)
-    result = _run(records, [("dedup", lambda recs: _dedup_verdicts(recs, mode))])
+    result = _run(records, [("dedup", _dedup_verdicts)], PipelineConfig(dedup_normalization=mode))
     return result.kept, result.reports[0]
 
 
@@ -229,9 +234,8 @@ def _similar_pairs(texts: list[str], threshold: float, n: int):
                     yield joined[y], joined[x]
 
 
-def _cluster_verdicts(records, jaccard_threshold, shingle_n):
-    _fraction("jaccard_threshold", jaccard_threshold)
-    _count("shingle_n", shingle_n, MAX_NGRAM)
+def _cluster_verdicts(records, config):
+    """The near-duplicate verdicts, and the cluster assignment of each record."""
     texts = [normalize(r.text) for r in records]
     parent = list(range(len(records)))
 
@@ -241,7 +245,7 @@ def _cluster_verdicts(records, jaccard_threshold, shingle_n):
             x = parent[x]
         return x
 
-    for i, j in _similar_pairs(texts, jaccard_threshold, shingle_n):
+    for i, j in _similar_pairs(texts, config.cluster_jaccard_threshold, config.shingle_n):
         ri, rj = find(i), find(j)
         # the later root goes under the earlier: a cluster's first record represents it
         parent[max(ri, rj)] = min(ri, rj)
@@ -262,12 +266,13 @@ def cluster_prune(
     shingle_n: int = 3,
 ) -> tuple[list[SampleRecord], list[ClusterAssignment], FilterReport]:
     """Cluster near-duplicate texts and keep one representative per cluster."""
-    verdicts, assignments = _cluster_verdicts(records, jaccard_threshold, shingle_n)
-    result = _run(records, [("near-duplicate-cluster", lambda recs: verdicts)])
+    config = PipelineConfig(cluster_jaccard_threshold=jaccard_threshold, shingle_n=shingle_n)
+    verdicts, assignments = _cluster_verdicts(records, config)
+    result = _run(records, [("near-duplicate-cluster", lambda recs, config: verdicts)], config)
     return result.kept, assignments, result.reports[0]
 
 
-def _asr_verdict(record: SampleRecord, threshold: float) -> FilterVerdict:
+def _asr_verdict(record: SampleRecord, config: PipelineConfig) -> FilterVerdict:
     """The error-rate verdict; a drop without a value when no rate is defined."""
     if record.hypothesis is None:
         return FilterVerdict(kept=False, stage="asr-filter", metric_name="no-hypothesis")
@@ -277,26 +282,26 @@ def _asr_verdict(record: SampleRecord, threshold: float) -> FilterVerdict:
     except ValueError:  # no rate is defined: the reference is empty after normalization
         return FilterVerdict(kept=False, stage="asr-filter", metric_name="empty-reference")
     return FilterVerdict(
-        kept=summary.rate <= threshold, stage="asr-filter",
+        kept=summary.rate <= config.wer_threshold, stage="asr-filter",
         metric_name=name, metric_value=summary.rate,
     )
 
 
-def _s2tt_verdict(record: SampleRecord, threshold: float) -> FilterVerdict:
+def _s2tt_verdict(record: SampleRecord, config: PipelineConfig) -> FilterVerdict:
     if record.translation is None:
         return FilterVerdict(kept=False, stage="s2tt-filter", metric_name="no-translation")
     sim = ngram_cosine(normalize(record.text), normalize(record.translation), n=3)
     return FilterVerdict(
-        kept=sim >= threshold, stage="s2tt-filter",
+        kept=sim >= config.s2tt_similarity_threshold, stage="s2tt-filter",
         metric_name="ngram_cosine", metric_value=sim,
     )
 
 
 def _consistency_verdict(record: SampleRecord, config: PipelineConfig) -> FilterVerdict | None:
     if record.scenario is Scenario.ASR:
-        return _asr_verdict(record, config.wer_threshold)
+        return _asr_verdict(record, config)
     if record.scenario is Scenario.S2TT:
-        return _s2tt_verdict(record, config.s2tt_similarity_threshold)
+        return _s2tt_verdict(record, config)
     return None
 
 
@@ -310,10 +315,8 @@ def filter_asr(
     Samples without a hypothesis, or whose reference is empty after
     normalization, are dropped unscored.
     """
-    _fraction("wer_threshold", threshold)
-    result = _run(
-        records, [("asr-filter", lambda recs: [_asr_verdict(r, threshold) for r in recs])]
-    )
+    config = PipelineConfig(wer_threshold=threshold)
+    result = _run(records, [("asr-filter", _each(_asr_verdict))], config)
     return result.kept, result.reports[0]
 
 
@@ -321,10 +324,8 @@ def filter_s2tt(
     records: list[SampleRecord], threshold: float = 0.5
 ) -> tuple[list[SampleRecord], FilterReport]:
     """Keep translation samples whose target text is similar to the reference."""
-    _fraction("s2tt_similarity_threshold", threshold)
-    result = _run(
-        records, [("s2tt-filter", lambda recs: [_s2tt_verdict(r, threshold) for r in recs])]
-    )
+    config = PipelineConfig(s2tt_similarity_threshold=threshold)
+    result = _run(records, [("s2tt-filter", _each(_s2tt_verdict))], config)
     return result.kept, result.reports[0]
 
 
@@ -338,15 +339,10 @@ def curate(records: list[SampleRecord], config: PipelineConfig | None = None) ->
     config = config or PipelineConfig()
     records = [rec if rec.verdict is None else rec.with_verdict(None) for rec in records]
     return _run(records, [
-        ("dedup", lambda recs: _dedup_verdicts(recs, config.dedup_normalization)),
-        (
-            "near-duplicate-cluster",
-            lambda recs: _cluster_verdicts(
-                recs, config.cluster_jaccard_threshold, config.shingle_n
-            )[0],
-        ),
-        ("consistency-filter", lambda recs: [_consistency_verdict(r, config) for r in recs]),
-    ])
+        ("dedup", _dedup_verdicts),
+        ("near-duplicate-cluster", lambda recs, config: _cluster_verdicts(recs, config)[0]),
+        ("consistency-filter", _each(_consistency_verdict)),
+    ], config)
 
 
 def stats(records: list[SampleRecord]) -> list[dict]:

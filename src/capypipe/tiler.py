@@ -119,8 +119,8 @@ def resize_geometry(width: int, height: int, plan: TilePlan) -> tuple[int, int, 
 
 def bilinear_resize(image: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     """Resize an (H, W, 3) uint8 image with half-pixel-center bilinear sampling."""
-    if out_w <= 0 or out_h <= 0:
-        raise ValueError(f"output dimensions must be positive, got {out_w}x{out_h}")
+    _count("out_w", out_w)
+    _count("out_h", out_h)
     if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8 or 0 in image.shape:
         raise ValueError(f"expected a non-empty (H, W, 3) uint8 image, got {image.shape}")
     if (image.shape[0], image.shape[1]) == (out_h, out_w):
@@ -141,8 +141,8 @@ def place_on_canvas(image: np.ndarray, plan: TilePlan) -> np.ndarray:
 
 def interpolate_pos_embed(grid: EmbeddingGrid, out_rows: int, out_cols: int) -> EmbeddingGrid:
     """Resize a position-embedding grid with align-corners bilinear interpolation."""
-    if out_rows < 1 or out_cols < 1:
-        raise ValueError(f"output grid must be at least 1x1, got {out_rows}x{out_cols}")
+    _count("out_rows", out_rows)
+    _count("out_cols", out_cols)
     if (out_rows, out_cols) == (grid.rows, grid.cols):
         return EmbeddingGrid(grid.rows, grid.cols, grid.dim, grid.values.copy())
     if (grid.rows < 2 and out_rows != grid.rows) or (grid.cols < 2 and out_cols != grid.cols):

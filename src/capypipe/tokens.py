@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import tiler, video
-from .manifest import MediaKind, MediaRef, PipelineConfig, SampleRecord
+from .manifest import MediaKind, MediaRef, PipelineConfig, SampleRecord, _count
 from .tiler import EmbeddingGrid, TilePlan
 
 VIT_TOKENS = 1024
@@ -97,8 +97,8 @@ def compress_tokens(grid: EmbeddingGrid) -> EmbeddingGrid:
 
 def flatten_with_row_breaks(grid_rows: int, grid_cols: int) -> list[SegmentKind]:
     """Row-major token order with a row-break marker closing every row."""
-    if grid_rows < 1 or grid_cols < 1:
-        raise ValueError(f"grid dims must be >= 1, got {grid_rows}x{grid_cols}")
+    _count("grid_rows", grid_rows)
+    _count("grid_cols", grid_cols)
     seq: list[SegmentKind] = []
     for _ in range(grid_rows):
         seq.extend([SegmentKind.IMAGE_UNIT] * grid_cols)

@@ -570,6 +570,43 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["plan-tiles", "--width", "2000", "--height", "1500"],
+        ["budget", "--manifest", "{manifest}"],
+        ["audio-profile", "--wav", "{wav}"],
+        ["video-schedule", "--duration", "300"],
+        ["metrics", "cer", "--ref", "{ref}", "--hyp", "{hyp}"],
+        ["metrics", "sim", "--ref", "{ref}", "--hyp", "{hyp}", "--ngram", "2"],
+        ["metrics", "bleu", "--ref", "{ref}", "--hyp", "{hyp}"],
+        ["stats", "--manifest", "{manifest}"],
+    ],
+    ids=["plan-tiles", "budget", "audio-profile", "video-schedule", "metrics-cer",
+         "metrics-sim", "metrics-bleu", "stats"],
+)
+def test_stdout_and_out_get_the_same_bytes(tmp_path, capsys, argv):
+    inputs = {name: tmp_path / name for name in ("manifest", "wav", "ref", "hyp")}
+    write_manifest([
+        make_record(id="a", text="ünïcode text"),
+        make_record(id="b", scenario=Scenario.QA, text="你好 世界", source="web", media=(
+            MediaRef(MediaKind.IMAGE, "i.png", width=1800, height=900),
+            MediaRef(MediaKind.VIDEO, "v.mp4", duration=12.5),
+        )),
+    ], inputs["manifest"])
+    write_pcm16_wav(inputs["wav"], 48000, n_samples=4800)
+    inputs["ref"].write_text("a\tthe cat sat\nb\t你好世界\n", encoding="utf-8")
+    inputs["hyp"].write_text("a\tthe cat sit\nb\t你好\n", encoding="utf-8")
+    argv = [arg.format(**inputs) for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.endswith("\n")
+    dest = tmp_path / "out.jsonl"
+    code, again, err = run(capsys, *argv, "--out", str(dest))
+    assert (code, again, err) == (0, "", "")
+    assert dest.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize(
     "flag, value",
     [
         ("--shingle-n", "0"),
@@ -724,6 +761,19 @@ def test_filter_rejects_malformed_manifest(tmp_path, capsys, fields):
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+    assert not kept_path.exists()
+
+
+@pytest.mark.parametrize("kind", ["Video", "Audio"])
+def test_filter_rejects_negative_duration_of_any_timed_ref(tmp_path, capsys, kind):
+    line = {"id": "c", "scenario": "Caption", "language": "ENG", "text": "a clip",
+            "media": [{"kind": kind, "path": "clip", "duration": -3}]}
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps(line) + "\n")
+    kept_path = tmp_path / "kept.jsonl"
+    code, out, err = run(capsys, "filter", "--manifest", str(src), "--out", str(kept_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: record 'c' invalid: {kind.lower()} duration must be >= 0, got -3\n"
     assert not kept_path.exists()
 
 

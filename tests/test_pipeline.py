@@ -268,6 +268,16 @@ class TestClusterPrune:
         with pytest.raises(ValueError, match=rf"shingle_n must be in 1\.\.100, got {shingle_n}"):
             cluster_prune(recs, 0.8, shingle_n)
 
+    @pytest.mark.parametrize("threshold", [math.nan, 0.0, -0.1, 1.5])
+    def test_rejects_threshold_with_the_config_message(self, threshold):
+        with pytest.raises(ValueError) as config_exc:
+            PipelineConfig(cluster_jaccard_threshold=threshold)
+        with pytest.raises(ValueError) as library_exc:
+            cluster_prune([make_record(text="same text here")], threshold)
+        assert str(library_exc.value) == str(config_exc.value)
+        expect = f"cluster_jaccard_threshold must be in (0, 1], got {threshold}"
+        assert str(config_exc.value) == expect
+
     def test_copies_of_one_long_text_pair_only_with_the_first(self):
         pairs = list(_similar_pairs(["the same long sentence"] * 2000, 0.8, 3))
         assert pairs == [(0, i) for i in range(1, 2000)]

@@ -196,6 +196,14 @@ class TestBilinearResize:
         with pytest.raises(ValueError):
             bilinear_resize(img, 0, 2)
 
+    @pytest.mark.parametrize("size", [2.5, True], ids=["fraction", "bool"])
+    @pytest.mark.parametrize("axis", ["out_w", "out_h"])
+    def test_rejects_non_integer_output_dims(self, axis, size):
+        img = np.zeros((2, 2, 3), dtype=np.uint8)
+        dims = {"out_w": 3, "out_h": 3, axis: size}
+        with pytest.raises(ValueError, match=rf"^{axis} must be an integer >= 1, got {size!r}$"):
+            bilinear_resize(img, **dims)
+
     @pytest.mark.parametrize("shape", [(0, 5, 3), (5, 0, 3), (0, 0, 3)])
     def test_rejects_empty_image(self, shape):
         with pytest.raises(ValueError, match="non-empty"):
@@ -237,6 +245,14 @@ class TestInterpolatePosEmbed:
         for d in range(2):
             assert out.values[:, :, d].min() >= vals[:, :, d].min() - 1e-5
             assert out.values[:, :, d].max() <= vals[:, :, d].max() + 1e-5
+
+    @pytest.mark.parametrize("size", [0, 2.5, True], ids=["zero", "fraction", "bool"])
+    @pytest.mark.parametrize("axis", ["out_rows", "out_cols"])
+    def test_rejects_non_integer_output_grid(self, axis, size):
+        g = EmbeddingGrid(4, 4, 1, np.zeros((4, 4, 1), dtype=np.float32))
+        dims = {"out_rows": 3, "out_cols": 3, axis: size}
+        with pytest.raises(ValueError, match=rf"^{axis} must be an integer >= 1, got {size!r}$"):
+            interpolate_pos_embed(g, **dims)
 
     def test_degenerate_axis_rejected(self):
         g = EmbeddingGrid(1, 4, 1, np.zeros((1, 4, 1), dtype=np.float32))

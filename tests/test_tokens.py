@@ -85,6 +85,13 @@ class TestFlatten:
         with pytest.raises(ValueError):
             flatten_with_row_breaks(0, 3)
 
+    @pytest.mark.parametrize("size", [2.5, True], ids=["fraction", "bool"])
+    @pytest.mark.parametrize("axis", ["grid_rows", "grid_cols"])
+    def test_rejects_non_integer_size(self, axis, size):
+        dims = {"grid_rows": 2, "grid_cols": 2, axis: size}
+        with pytest.raises(ValueError, match=rf"^{axis} must be an integer >= 1, got {size!r}$"):
+            flatten_with_row_breaks(**dims)
+
 
 def explicit_image_sequence(plan):
     """Oracle: build the full token sequence one symbol at a time."""
