@@ -8,7 +8,6 @@ log10 floored 8 orders below the peak, then (x + 4) / 4 normalization.
 from __future__ import annotations
 
 import math
-import struct
 import wave
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -117,10 +116,6 @@ def log_mel(samples: np.ndarray) -> MelSpectrogram:
         padded = np.pad(samples, pad, mode="reflect")
     else:
         padded = np.pad(samples, pad, mode="constant")
-    # make sure every frame window fits
-    need = (n_frames - 1) * HOP + N_FFT
-    if len(padded) < need:
-        padded = np.pad(padded, (0, need - len(padded)), mode="constant")
     window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(N_FFT) / N_FFT))
     idx = np.arange(N_FFT)[None, :] + HOP * np.arange(n_frames)[:, None]
     frames = padded[idx] * window[None, :]
@@ -147,22 +142,23 @@ def mel_to_hz(m: np.ndarray | float) -> np.ndarray | float:
     return np.where(m >= 15.0, 1000.0 * np.exp(step * (m - 15.0)), m * 200.0 / 3.0)
 
 
+def _mel_edges() -> np.ndarray:
+    """The N_MELS + 2 filter edges in Hz, evenly spaced in mel over 0-8000 Hz."""
+    return mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(8000.0), N_MELS + 2))
+
+
 def mel_filter_centers() -> np.ndarray:
-    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(8000.0), N_MELS + 2))
-    return edges[1:-1]
+    return _mel_edges()[1:-1]
 
 
 def mel_filterbank() -> np.ndarray:
     """Triangular mel filters over the rfft bins, area-normalized."""
     fft_freqs = np.fft.rfftfreq(N_FFT, d=1.0 / TARGET_RATE)
-    edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(8000.0), N_MELS + 2))
-    fb = np.zeros((N_MELS, len(fft_freqs)))
-    for i in range(N_MELS):
-        lo, ctr, hi = edges[i], edges[i + 1], edges[i + 2]
-        up = (fft_freqs - lo) / (ctr - lo)
-        down = (hi - fft_freqs) / (hi - ctr)
-        fb[i] = np.maximum(0.0, np.minimum(up, down)) * (2.0 / (hi - lo))
-    return fb
+    edges = _mel_edges()[:, None]
+    lo, ctr, hi = edges[:-2], edges[1:-1], edges[2:]
+    up = (fft_freqs - lo) / (ctr - lo)
+    down = (hi - fft_freqs) / (hi - ctr)
+    return np.maximum(0.0, np.minimum(up, down)) * (2.0 / (hi - lo))
 
 
 def profile(path: str | Path) -> AudioProfile:
@@ -184,23 +180,3 @@ def profile(path: str | Path) -> AudioProfile:
         n_tokens=audio_budget(duration),
         rms=rms,
     )
-
-
-# ---------------------------------------------------------------------------
-# "MELS" container: magic, two u32 LE (n_mels, n_frames), float32 LE values
-
-
-def write_mel(mel: MelSpectrogram, path: str | Path) -> None:
-    with Path(path).open("wb") as fh:
-        fh.write(b"MELS")
-        fh.write(struct.pack("<II", mel.n_mels, mel.n_frames))
-        fh.write(np.ascontiguousarray(mel.values, dtype="<f4").tobytes())
-
-
-def read_mel(path: str | Path) -> MelSpectrogram:
-    data = Path(path).read_bytes()
-    if data[:4] != b"MELS":
-        raise ValueError(f"bad magic {data[:4]!r}, expected b'MELS'")
-    n_mels, n_frames = struct.unpack_from("<II", data, 4)
-    values = np.frombuffer(data, dtype="<f4", count=n_mels * n_frames, offset=12)
-    return MelSpectrogram(n_mels, n_frames, values.reshape(n_mels, n_frames).copy())

@@ -25,6 +25,7 @@ from .manifest import (
     MAX_NGRAM,
     ManifestError,
     PipelineConfig,
+    _count,
     dumps_record,
     read_keyed,
     read_manifest,
@@ -144,6 +145,9 @@ def _tsv_pair(line: str) -> tuple[str, str]:
 
 
 def cmd_metrics(args: argparse.Namespace, config: PipelineConfig) -> list[str]:
+    if args.metric == "sim":
+        # before the files are read, so that no TSV content can hide a bad flag
+        _count("n", args.ngram, MAX_NGRAM)
     refs = read_keyed(args.ref, _tsv_pair, "line")
     hyps = read_keyed(args.hyp, _tsv_pair, "line")
     missing = [k for k in refs if k not in hyps]

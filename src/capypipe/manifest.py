@@ -384,6 +384,13 @@ def write_manifest(
 ) -> None:
     """Write records as UTF-8 JSONL, LF-terminated, validating invariants first;
     the file, and each file of `also` with its lines, ends whole or untouched
-    together (`write_lines`)."""
+    together (`write_lines`). Two paths that name one file are refused before
+    anything is written, since one file would silently replace the other."""
+    targets = [path, *(also or {})]
+    real = [os.path.realpath(target) for target in targets]
+    for i, target in enumerate(targets):
+        if real[i] in real[:i]:
+            first = targets[real.index(real[i])]
+            raise ValueError(f"outputs {first} and {target} name one file")
     require_valid(records)
     write_lines({path: map(dumps_record, records), **(also or {})})

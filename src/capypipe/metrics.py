@@ -25,12 +25,12 @@ class EditSummary:
 
 
 def normalize(text: str) -> str:
-    """Canonical text form: NFC, lowercased, full-width digits folded,
-    whitespace runs collapsed."""
+    """Canonical text form: lowercased, then NFC; idempotent. Full-width digits
+    are folded and whitespace runs collapsed."""
     # NFC and the digit fold leave ASCII as it is
     if text.isascii():
         return " ".join(text.lower().split())
-    text = unicodedata.normalize("NFC", text).lower().translate(_FULL_WIDTH_DIGITS)
+    text = unicodedata.normalize("NFC", text.lower()).translate(_FULL_WIDTH_DIGITS)
     return " ".join(text.split())
 
 

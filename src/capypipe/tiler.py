@@ -9,10 +9,8 @@ the image. Multi-cell plans get a whole-image thumbnail for global context.
 from __future__ import annotations
 
 import math
-import struct
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -78,20 +76,14 @@ def plan_tiles(width: int, height: int, max_slices: int = 9, cell_size: int = 44
     ideal = max(math.ceil(min(width * height, max_slices * cell_area) / cell_area), 1)
     if ideal == 1:
         return TilePlan(1, 1, cell_size, thumbnail=False, score=grid_score(width, height, 1, 1))
-    best: tuple[float, int, int] | None = None
-    for n_cells in (ideal - 1, ideal, ideal + 1):
-        if not 1 <= n_cells <= max_slices:
-            continue
-        for rows in range(1, n_cells + 1):
-            if n_cells % rows:
-                continue
-            cols = n_cells // rows
-            # sort key: higher score wins, then fewer cells, then fewer rows
-            key = (-grid_score(width, height, rows, cols), n_cells, rows)
-            if best is None or key < best[0:3]:
-                best = (*key, rows, cols)
-    assert best is not None
-    _, _, _, rows, cols = best
+    # each grid of ideal - 1, ideal or ideal + 1 cells, keyed so that the higher
+    # score wins, then fewer cells, then fewer rows
+    *_, rows, cols = min(
+        (-grid_score(width, height, r, n // r), n, r, n // r)
+        for n in range(ideal - 1, min(ideal + 1, max_slices) + 1)
+        for r in range(1, n + 1)
+        if n % r == 0
+    )
     return TilePlan(
         rows,
         cols,
@@ -152,54 +144,3 @@ def interpolate_pos_embed(grid: EmbeddingGrid, out_rows: int, out_cols: int) -> 
         )
     values = _kernels.grid_interp(grid.values, out_rows, out_cols)
     return EmbeddingGrid(out_rows, out_cols, grid.dim, values)
-
-
-# ---------------------------------------------------------------------------
-# serialization: binary PPM for images, "EGRD" container for embedding grids
-
-
-def read_ppm(path: str | Path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            pos = data.index(b"\n", pos) + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    if fields[0] != b"P6":
-        raise ValueError(f"not a binary PPM: magic {fields[0]!r}")
-    width, height, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval != 255:
-        raise ValueError(f"only maxval 255 supported, got {maxval}")
-    pos += 1  # single whitespace after maxval
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height * 3, offset=pos)
-    return pixels.reshape(height, width, 3).copy()
-
-
-def write_ppm(image: np.ndarray, path: str | Path) -> None:
-    h, w = image.shape[:2]
-    with Path(path).open("wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(np.ascontiguousarray(image, dtype=np.uint8).tobytes())
-
-
-def read_embedding_grid(path: str | Path) -> EmbeddingGrid:
-    data = Path(path).read_bytes()
-    if data[:4] != b"EGRD":
-        raise ValueError(f"bad magic {data[:4]!r}, expected b'EGRD'")
-    rows, cols, dim = struct.unpack_from("<III", data, 4)
-    values = np.frombuffer(data, dtype="<f4", count=rows * cols * dim, offset=16)
-    return EmbeddingGrid(rows, cols, dim, values.reshape(rows, cols, dim).copy())
-
-
-def write_embedding_grid(grid: EmbeddingGrid, path: str | Path) -> None:
-    with Path(path).open("wb") as fh:
-        fh.write(b"EGRD")
-        fh.write(struct.pack("<III", grid.rows, grid.cols, grid.dim))
-        fh.write(np.ascontiguousarray(grid.values, dtype="<f4").tobytes())

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,13 @@ from capypipe.audio import (
     AudioFormatError,
     MelSpectrogram,
     decode_wav,
+    hz_to_mel,
     log_mel,
     mel_filter_centers,
+    mel_filterbank,
+    mel_to_hz,
     profile,
-    read_mel,
     resample_16k,
-    write_mel,
     write_wav,
 )
 from capypipe.tokens import audio_budget
@@ -155,6 +158,26 @@ class TestLogMel:
         nc = log_mel(np.concatenate([a, b])).n_frames
         assert na + nb - 2 <= nc <= na + nb + 2
 
+    def test_filterbank_equals_the_per_filter_loop(self):
+        # reference: one triangle per filter, the same arithmetic per element
+        fft_freqs = np.fft.rfftfreq(400, d=1.0 / 16000)
+        edges = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(8000.0), 130))
+        want = np.zeros((128, len(fft_freqs)))
+        for i in range(128):
+            lo, ctr, hi = edges[i], edges[i + 1], edges[i + 2]
+            up = (fft_freqs - lo) / (ctr - lo)
+            down = (hi - fft_freqs) / (hi - ctr)
+            want[i] = np.maximum(0.0, np.minimum(up, down)) * (2.0 / (hi - lo))
+        assert np.array_equal(mel_filterbank(), want)
+
+    @pytest.mark.parametrize("n", [1, 159, 160, 161, 200, 201, 399, 400, 401])
+    def test_short_signal_frames_fit_the_padded_signal(self, n):
+        # n <= 200 takes the constant pad, longer signals the reflect pad
+        mel = log_mel(sine(440, 1.0, 16000)[:n])
+        assert mel.n_frames == max(1, math.ceil(n / 160))
+        assert mel.values.shape == (128, mel.n_frames)
+        assert np.all(np.isfinite(mel.values))
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             log_mel(np.zeros(0))
@@ -198,13 +221,3 @@ class TestProfile:
         write_pcm16_wav(p, 0)
         with pytest.raises(ValueError, match="sample rate 0 outside supported range"):
             profile(p)
-
-
-def test_mel_serialization_round_trip(tmp_path):
-    mel = log_mel(sine(440, 0.3, 16000))
-    p = tmp_path / "m.mels"
-    write_mel(mel, p)
-    out = read_mel(p)
-    assert (out.n_mels, out.n_frames) == (mel.n_mels, mel.n_frames)
-    assert np.array_equal(out.values, mel.values)
-    assert p.read_bytes()[:4] == b"MELS"

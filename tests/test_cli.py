@@ -397,6 +397,26 @@ def test_filter_replaces_no_output_when_a_later_one_fails(tmp_path, capsys):
     assert os.listdir(reports) == ["dedup.json"]
 
 
+@pytest.mark.parametrize(
+    "out, flag, other, message",
+    [("o.jsonl", "--dropped", "o.jsonl", "o.jsonl and o.jsonl"),
+     ("o.jsonl", "--dropped", "./o.jsonl", "o.jsonl and ./o.jsonl"),
+     ("reports/dedup.json", "--report", "reports", "reports/dedup.json and reports/dedup.json")],
+    ids=["same-spelling", "dot-slash", "out-is-a-report"],
+)
+def test_filter_refuses_two_outputs_naming_one_file(
+    tmp_path, capsys, monkeypatch, out, flag, other, message
+):
+    monkeypatch.chdir(tmp_path)
+    write_manifest([make_record(id="a", text="some text here")], "in.jsonl")
+    code, stdout, err = run(
+        capsys, "filter", "--manifest", "in.jsonl", "--out", out, flag, other
+    )
+    assert (code, stdout) == (1, "")
+    assert err == f"error: outputs {message} name one file\n"
+    assert [p.name for p in tmp_path.rglob("*") if not p.is_dir()] == ["in.jsonl"]
+
+
 def test_filter_end_to_end(tmp_path, capsys):
     recs = [
         make_record(id="a", text="clean sample text", hypothesis="clean sample text"),
@@ -530,7 +550,17 @@ def test_metrics_sim_rejects_ngram_out_of_range(tmp_path, capsys, ngram):
         capsys, "metrics", "sim", "--ref", str(tsv), "--hyp", str(tsv), "--ngram", ngram
     )
     assert (code, out) == (1, "")
-    assert err == f"error: id 'a': n must be in 1..100, got {ngram}\n"
+    assert err == f"error: n must be in 1..100, got {ngram}\n"
+
+
+def test_metrics_sim_rejects_ngram_out_of_range_on_empty_tsvs(tmp_path, capsys):
+    tsv = tmp_path / "r.tsv"
+    tsv.write_text("")
+    code, out, err = run(
+        capsys, "metrics", "sim", "--ref", str(tsv), "--hyp", str(tsv), "--ngram", "0"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: n must be in 1..100, got 0\n"
 
 
 def test_output_write_failing_midway_leaves_old_file_and_no_temp(tmp_path):

@@ -56,10 +56,21 @@ class TestNormalize:
         ))),
     ))
     def test_matches_the_full_path_on_any_text(self, text):
-        # NFC, lowercase and digit fold on every text; ASCII text skips them
-        full = unicodedata.normalize("NFC", text).lower()
+        # lowercase, NFC and digit fold on every text; ASCII text skips them
+        full = unicodedata.normalize("NFC", text.lower())
         full = full.translate({0xFF10 + d: str(d) for d in range(10)})
         assert normalize(text) == " ".join(full.split())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(),
+        # capitals whose lowercase composes with a following mark under NFC
+        st.text(st.sampled_from(list(
+            "TI\u0130\u0386\u0399\u03aa\u03ab\u1fbc a\u0301\u0308\u0345\u0327\uff10"
+        ))),
+    ))
+    def test_idempotent(self, text):
+        assert normalize(normalize(text)) == normalize(text)
 
 
 class TestWer:

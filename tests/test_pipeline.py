@@ -110,6 +110,16 @@ class TestDedupExact:
         kept, _ = dedup_exact(recs)
         assert [r.id for r in kept] == ["a"]
 
+    def test_case_variant_with_combining_mark_is_a_duplicate(self):
+        # capital iota with dialytika and an acute mark, then its lowercase form
+        recs = [
+            make_record(id="a", text="\u03aa\u0301"),
+            make_record(id="b", text="\u0390"),
+        ]
+        kept, report = dedup_exact(recs)
+        assert [r.id for r in kept] == ["a"]
+        assert report.drop_reasons == {"exact-duplicate": 1}
+
     def test_none_mode_keeps_whitespace_variants(self):
         recs = [
             make_record(id="a", text="hello  world"),

@@ -12,11 +12,7 @@ from capypipe.tiler import (
     interpolate_pos_embed,
     place_on_canvas,
     plan_tiles,
-    read_embedding_grid,
-    read_ppm,
     resize_geometry,
-    write_embedding_grid,
-    write_ppm,
 )
 
 
@@ -258,27 +254,3 @@ class TestInterpolatePosEmbed:
         g = EmbeddingGrid(1, 4, 1, np.zeros((1, 4, 1), dtype=np.float32))
         with pytest.raises(ValueError, match="degenerate"):
             interpolate_pos_embed(g, 3, 4)
-
-
-class TestSerialization:
-    def test_ppm_round_trip(self, tmp_path, rng):
-        img = rng.integers(0, 256, size=(5, 7, 3), dtype=np.uint8)
-        p = tmp_path / "img.ppm"
-        write_ppm(img, p)
-        assert np.array_equal(read_ppm(p), img)
-        assert p.read_bytes().startswith(b"P6\n7 5\n255\n")
-
-    def test_embedding_grid_round_trip(self, tmp_path, rng):
-        g = EmbeddingGrid(3, 4, 2, rng.normal(size=(3, 4, 2)).astype(np.float32))
-        p = tmp_path / "g.egrd"
-        write_embedding_grid(g, p)
-        out = read_embedding_grid(p)
-        assert (out.rows, out.cols, out.dim) == (3, 4, 2)
-        assert np.array_equal(out.values, g.values)
-        assert p.read_bytes()[:4] == b"EGRD"
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "bad.egrd"
-        p.write_bytes(b"NOPE" + b"\x00" * 12)
-        with pytest.raises(ValueError, match="magic"):
-            read_embedding_grid(p)
