@@ -29,6 +29,7 @@ from .manifest import (
     dumps_record,
     read_keyed,
     read_manifest,
+    require_distinct,
     require_valid,
     write_lines,
     write_manifest,
@@ -186,13 +187,15 @@ def cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> None:
     if args.dropped:
         also[args.dropped] = [dumps_record(rec) for rec in result.dropped]
     if args.report:
-        with _writing():
-            os.makedirs(args.report, exist_ok=True)
         for rep in result.reports:
             text = json.dumps(rep.to_json(), ensure_ascii=False, indent=2, sort_keys=True)
             also[os.path.join(args.report, f"{rep.stage}.json")] = [text]
+    # a refused run creates nothing, not even the report directory
+    require_distinct([args.out, *also])
     # every output is written, or none is replaced
     with _writing():
+        if args.report:
+            os.makedirs(args.report, exist_ok=True)
         write_manifest(result.kept, args.out, also)
     for rep in result.reports:
         print(

@@ -377,6 +377,17 @@ def write_lines(files: Mapping[str | Path, Iterable[str]]) -> None:
         raise
 
 
+def require_distinct(targets: Iterable[str | Path]) -> None:
+    """Refuse output paths of which two name one file, since one file would
+    silently replace the other: a `ValueError` naming both."""
+    targets = list(targets)
+    real = [os.path.realpath(target) for target in targets]
+    for i, target in enumerate(targets):
+        if real[i] in real[:i]:
+            first = targets[real.index(real[i])]
+            raise ValueError(f"outputs {first} and {target} name one file")
+
+
 def write_manifest(
     records: list[SampleRecord],
     path: str | Path,
@@ -385,12 +396,7 @@ def write_manifest(
     """Write records as UTF-8 JSONL, LF-terminated, validating invariants first;
     the file, and each file of `also` with its lines, ends whole or untouched
     together (`write_lines`). Two paths that name one file are refused before
-    anything is written, since one file would silently replace the other."""
-    targets = [path, *(also or {})]
-    real = [os.path.realpath(target) for target in targets]
-    for i, target in enumerate(targets):
-        if real[i] in real[:i]:
-            first = targets[real.index(real[i])]
-            raise ValueError(f"outputs {first} and {target} name one file")
+    anything is written (`require_distinct`)."""
+    require_distinct([path, *(also or {})])
     require_valid(records)
     write_lines({path: map(dumps_record, records), **(also or {})})

@@ -1,12 +1,17 @@
 """Staged manifest curation: exact dedup, near-duplicate clustering, and
 consistency filters for speech-recognition and speech-translation samples.
 
-Near-duplicate detection is an exact prefix-filter join over shingles interned
-to ints: two texts are candidates only when their rarest-first prefixes share
-two tokens (one, when a single shared shingle can reach the threshold). The
-candidates provably include every pair at or above the Jaccard threshold, and
-each is verified by its exact shingle overlap, so results are identical to
-the O(n^2) brute force.
+Near-duplicate detection is an exact prefix-filter join in numpy. Each text's
+distinct shingles become integer tokens ranked rarest first, by sorting and
+without hashing. Texts are visited shortest first: each probes an index
+with a prefix of its tokens, and is indexed under a shorter prefix, its
+mid-prefix (PPJoin). Both are just long enough that any pair reaching the
+Jaccard threshold shares two tokens in them (one, when a single shared
+shingle can reach it), so only such pairs are verified, by their exact shingle
+overlap. The bounds are computed in floating point, like the Jaccard test
+itself, so every pair at or above the threshold is found and the results
+are identical to the O(n^2) brute force. Scan and verify run a span of texts
+at a time within a fixed memory budget.
 
 `_run` alone attaches stage verdicts to records and fills the stage reports:
 `curate` and each public stage function go through it. Every stage reads its
@@ -19,6 +24,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+
+import numpy as np
 
 from .manifest import (
     DedupNormalization,
@@ -144,6 +151,131 @@ def exact_jaccard(a: str, b: str, n: int) -> float:
     return jaccard_shingles(a, b, n)
 
 
+# the join's memory budget: what one span of its scan or verify holds, in bytes
+_BLOCK_BYTES = 1 << 20
+# about the bytes held per posting entry scanned or per token gathered
+_CELL_BYTES = 32
+# packed keys stay below this, to fit int64
+_INT64_END = 2**63
+
+
+def _int(bound: int) -> np.dtype:
+    """int32 when every value below bound fits it, else int64."""
+    return np.dtype(np.int32 if bound <= 2**31 else np.int64)
+
+
+def _heads(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal values begins, as a bool mask."""
+    heads = np.empty(len(values), bool)
+    heads[:1] = True
+    np.not_equal(values[1:], values[:-1], out=heads[1:])
+    return heads
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """range(starts[i], starts[i] + counts[i]) for each i, end to end."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    dtype = _int(max(total, int((starts + counts).max(initial=0))))
+    shift = (starts - ends + counts).astype(dtype)
+    return np.arange(total, dtype=dtype) + np.repeat(shift, counts)
+
+
+def _spans(weights: np.ndarray, cap: int):
+    """Split range(len(weights)) into consecutive (start, stop) spans of total
+    weight at most cap; a span of one item may exceed it."""
+    ends = np.cumsum(weights)
+    start = 0
+    while start < len(ends):
+        below = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, below + cap, side="right")))
+        yield start, stop
+        start = stop
+
+
+def _dense(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rank keys in key order, equal keys alike: int32 ranks and their count."""
+    order = np.argsort(keys)
+    heads = _heads(keys[order])
+    ranks = np.empty(len(keys), np.int32)
+    ranks[order] = np.cumsum(heads, dtype=np.int32) - 1
+    return ranks, int(np.count_nonzero(heads))
+
+
+def _shingle_rows(texts: list[str], n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Each text's distinct n-grams as tokens that rank rarest first, ties in
+    code-point order, returned as (tokens, offsets, vocabulary size): text i's
+    tokens, ascending, are tokens[offsets[i] : offsets[i + 1]]. Every text has
+    n or more characters.
+
+    The n-grams are ranked exactly, without hashing, by prefix doubling
+    (Manber & Myers, SODA 1990): the (k + s)-gram at p, s <= k, is the pair
+    of k-grams at p and p + s, so ceil(log2 n) steps reach n. Each step packs
+    a pair of ranks into one integer key, in pair order; keys are ranked
+    densely again only where packing them would overflow int64. The steps
+    run over the texts end to end; n-grams that cross a boundary are ranked
+    too, and then left out, since boundaries come from the text lengths (a
+    text may hold any code point, NUL included).
+    """
+    m = len(texts)
+    lens = np.fromiter(map(len, texts), np.int64, m)
+    ranks = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), "<i4")
+    bound = int(ranks.max()) + 1
+    k = 1
+    while k < n:
+        step = min(k, n - k)
+        if bound * bound > _INT64_END:
+            ranks, bound = _dense(ranks)
+        pair = ranks[:-step].astype(_int(bound * bound))
+        pair *= bound
+        pair += ranks[step:]
+        ranks, bound, k = pair, bound * bound, k + step
+        del pair  # else the last level outlives `del ranks` below
+    counts = lens - n + 1
+    grams = ranks[_ranges(np.cumsum(lens) - lens, counts)]
+    del ranks
+    if bound * m > _INT64_END:
+        grams, bound = _dense(grams)
+    # each distinct (n-gram, text) pair once, n-gram major
+    pairs = grams.astype(_int(bound * m))
+    del grams
+    pairs *= m
+    pairs += np.repeat(np.arange(m, dtype=np.int32), counts)
+    pairs.sort()
+    pairs = pairs[_heads(pairs)]
+    text_of = np.empty(len(pairs), np.int32)
+    np.remainder(pairs, m, out=text_of, casting="unsafe")  # below m, so exact
+    pairs //= m
+    heads = _heads(pairs)
+    del pairs
+    vocab = int(np.count_nonzero(heads))
+    # an n-gram's df is the length of its run; rarest first, ties in n-gram order
+    df = np.diff(np.append(np.flatnonzero(heads), len(heads)))
+    rank = np.empty(vocab, np.int32)
+    rank[np.sort(df * vocab + np.arange(vocab)) % vocab] = np.arange(vocab, dtype=np.int32)
+    del df
+    rows = text_of.astype(_int(m * vocab))
+    rows *= vocab
+    rows += rank[np.cumsum(heads, dtype=np.int32) - 1]
+    del heads, rank
+    rows.sort()
+    rows %= vocab
+    offsets = np.zeros(m + 1, np.int64)
+    np.cumsum(np.bincount(text_of, minlength=m), out=offsets[1:])
+    return rows.astype(np.int32, copy=False), offsets, vocab
+
+
+def _least(threshold: float, guess: int, ratio) -> int:
+    """Smallest a >= 1 with ratio(a) >= threshold in floating point, searched
+    from guess; ratio must not fall as a grows, and must reach the threshold."""
+    a = guess
+    while a > 1 and ratio(a - 1) >= threshold:
+        a -= 1
+    while ratio(a) < threshold:
+        a += 1
+    return a
+
+
 def _min_overlap(size: int, threshold: float) -> int:
     """Smallest a with a / size >= threshold in floating point.
 
@@ -152,12 +284,18 @@ def _min_overlap(size: int, threshold: float) -> int:
     pair reaching the threshold has inter >= a and |y| >= a, boundary pairs
     such as J = 4/5 at threshold 0.8 included.
     """
-    a = math.ceil(threshold * size)
-    while a > 1 and (a - 1) / size >= threshold:
-        a -= 1
-    while a / size < threshold:
-        a += 1
-    return a
+    return _least(threshold, math.ceil(threshold * size), lambda a: a / size)
+
+
+def _mid_overlap(size: int, threshold: float) -> int:
+    """Smallest a with a / (2 size - a) >= threshold in floating point.
+
+    If size = |y| <= |x|, the float Jaccard inter / (|x| + |y| - inter) is at
+    most inter / (2|y| - inter), which does not fall as inter grows, so a
+    pair reaching the threshold has inter >= a: about 2t / (1 + t) |y|.
+    """
+    return _least(threshold, math.ceil(2 * threshold / (1 + threshold) * size),
+                  lambda a: a / (2 * size - a))
 
 
 def _similar_pairs(texts: list[str], threshold: float, n: int):
@@ -167,71 +305,123 @@ def _similar_pairs(texts: list[str], threshold: float, n: int):
     more characters that reaches the threshold, by their first copies.
 
     Only those distinct texts join, by prefix filtering (Bayardo, Ma &
-    Srikant, WWW 2007) with the ell-prefix filter of Wang, Li & Feng (SIGMOD
-    2012). Each shingle is interned to an int in order of first appearance,
-    and the ids rank rarest first, ties by id, so the ranks and the order of
-    the pairs do not depend on str hashing. A text's tokens are its
-    shingles' ranks, sorted.
-
-    Texts are visited shortest first. x probes the postings of its first
-    |x| - a + ell tokens, where a = _min_overlap(|x|, threshold) and
-    ell = min(2, a), and is then indexed under the same tokens; only a y met
-    on at least ell of those lists is verified. This is exact by the
-    ell-prefix lemma: if x and y share alpha >= ell tokens, the ell rarest of
-    them lie among the first |x| - alpha + ell tokens of x, since alpha - ell
-    shared tokens follow them, and likewise of y. A pair reaching the
-    threshold shares alpha >= a tokens, so x's probed prefix is long enough.
-    y was indexed under its own a_y and ell_y. As |y| <= |x|, a_y <= a, so
-    a_y - ell_y = max(a_y - 2, 0) <= a - ell <= alpha - ell, and y's indexed
-    prefix of |y| - a_y + ell_y tokens reaches |y| - alpha + ell. Postings
-    grow in visiting order, so a text with fewer than a tokens ends a scan.
+    Srikant, WWW 2007) with PPJoin's shorter indexing prefix (Xiao, Wang, Lin
+    & Yu, WWW 2008) and the ell-prefix filter of Wang, Li & Feng (SIGMOD
+    2012). A text's tokens are its distinct shingles, ranked rarest first
+    (_shingle_rows). Texts are visited shortest first, so a text x meets only
+    texts y with |y| <= |x|. Each y is indexed under its first
+    |y| - b + min(2, b) tokens, where b = _mid_overlap(|y|, threshold); x
+    probes with its first |x| - a + ell tokens, where
+    a = _min_overlap(|x|, threshold) and ell = min(2, a); a pair is verified,
+    by its exact overlap and the float division exact_jaccard makes, only
+    when x meets y on at least ell of those tokens. No pair reaching the
+    threshold is missed:
+    - float-safe bounds: rounding keeps the order of exact quotients, so if
+      the float Jaccard alpha / (|x| + |y| - alpha) of a pair sharing alpha
+      tokens reaches the threshold, so do alpha / |x| and
+      alpha / (2|y| - alpha), whose denominators are no larger; hence
+      alpha >= a, alpha >= b and |y| >= alpha >= a;
+    - the ell-prefix lemma: if x and y share alpha >= ell tokens, the ell
+      rarest of them lie among the first |x| - alpha + ell tokens of x,
+      since alpha - ell shared tokens follow them, and likewise of y;
+    - x's probed prefix holds them, as alpha >= a; so does y's indexed
+      prefix, by the mid-prefix lemma: alpha - ell >= b - min(2, b), since
+      alpha >= b, and alpha >= 2 when ell = 2.
+    The index is one sorted array of token * m + visit position, where two
+    searchsorted calls per probe token cut out the texts visited before x
+    with at least a tokens (_candidates). Overlaps are counted in a mark
+    matrix of one vocabulary-wide row per x. Each span of probing texts, of
+    posting entries and of verified pairs holds about _BLOCK_BYTES.
     """
     first: dict[str, int] = {}
     joined: list[int] = []  # the input index of each text in the join
-    ids: dict[str, int] = {}
-    shingles: list[tuple[int, ...]] = []  # each joined text's distinct shingle ids
     for i, text in enumerate(texts):
         j = first.setdefault(text, i)
         if j != i:
             yield j, i
         elif len(text) >= n:
             joined.append(i)
-            shingles.append(tuple(
-                {ids.setdefault(text[k : k + n], len(ids)) for k in range(len(text) - n + 1)}
-            ))
-    df = [0] * len(ids)
-    del ids, first
-    for ids_of_text in shingles:
-        for g in ids_of_text:
-            df[g] += 1
-    rank = [0] * len(df)
-    for r, g in enumerate(sorted(range(len(df)), key=df.__getitem__)):
-        rank[g] = r
-    del df
-    tokens = [sorted(map(rank.__getitem__, ids_of_text)) for ids_of_text in shingles]
-    del shingles, rank
-    index: dict[int, list[int]] = {}
-    for x in sorted(range(len(tokens)), key=lambda k: (len(tokens[k]), k)):
-        xt = tokens[x]
-        size = len(xt)
-        need = _min_overlap(size, threshold)
-        ell = min(2, need)
-        hits: dict[int, int] = {}
-        for tok in xt[: size - need + ell]:
-            postings = index.setdefault(tok, [])
-            for y in reversed(postings):
-                if len(tokens[y]) < need:
-                    break
-                hits[y] = hits.get(y, 0) + 1
-            postings.append(x)
-        xset = None
-        for y, c in hits.items():
-            if c >= ell:
-                if xset is None:
-                    xset = set(xt)
-                inter = len(xset.intersection(tokens[y]))
-                if inter / (size + len(tokens[y]) - inter) >= threshold:
-                    yield joined[y], joined[x]
+    del first
+    m = len(joined)
+    if m < 2:
+        return
+    tokens, offsets, vocab = _shingle_rows([texts[i] for i in joined], n)
+    # everything below is in visit order: shortest first, ties by input order
+    visit = np.argsort(np.diff(offsets), kind="stable")
+    size = np.diff(offsets)[visit]
+    start = offsets[visit]
+    del offsets
+    need = np.zeros(int(size[-1]) + 1, np.int64)
+    mid = np.zeros_like(need)
+    for s in np.flatnonzero(np.bincount(size)).tolist():
+        need[s], mid[s] = _min_overlap(s, threshold), _mid_overlap(s, threshold)
+    need, mid = need[size], mid[size]
+    ell = np.minimum(need, 2)
+    probed = size - need + ell
+    indexed = size - mid + np.minimum(mid, 2)
+    # the first visit position of a text of at least `need` tokens
+    low = np.searchsorted(size, need)
+    del mid
+    key = _int(vocab * m)
+    index = tokens[_ranges(start, indexed)].astype(key)
+    index *= m
+    index += np.repeat(np.arange(m, dtype=key), indexed)
+    index.sort()
+    del indexed
+    # mark[row * vocab + token]: the row's x holds the token; a span of
+    # candidates may begin inside an x's run, so it holds one row more
+    mark = np.zeros(_BLOCK_BYTES + vocab, bool)
+    for x, y in _candidates(index, tokens, start, probed, low, ell):
+        for c, d in _spans(size[y] * _CELL_BYTES + _heads(x) * vocab, _BLOCK_BYTES):
+            xc, yc, ny = x[c:d], y[c:d], size[y[c:d]]
+            fresh = _heads(xc)
+            rows = xc[fresh]
+            cells = np.repeat(np.arange(len(rows)) * vocab, size[rows])
+            cells += tokens[_ranges(start[rows], size[rows])]
+            mark[cells] = True
+            cells_y = np.repeat((np.cumsum(fresh) - 1) * vocab, ny)
+            cells_y += tokens[_ranges(start[yc], ny)]
+            inter = np.add.reduceat(mark[cells_y], np.cumsum(ny) - ny, dtype=np.int64)
+            mark[cells] = False
+            del cells, cells_y
+            ok = inter / (size[xc] + ny - inter) >= threshold
+            for j, i in zip(visit[yc[ok]].tolist(), visit[xc[ok]].tolist()):
+                yield joined[j], joined[i]
+
+
+def _candidates(index, tokens, start, probed, low, ell):
+    """Yield the candidate pairs of visit positions (x, y) as two arrays, x
+    ascending, a span of probing texts at a time: y < x, y >= low[x], and y
+    is indexed under at least ell[x] of x's first probed[x] tokens. `index`
+    holds token * m + y for each indexed token of each y, sorted.
+
+    A span's probe tokens, and then the posting entries it scans, stay within
+    _BLOCK_BYTES. The two posting bounds of each probe token are searched in
+    (token, x) order, in which both ascend, since low grows with x.
+    """
+    m = len(start)
+    cap = _BLOCK_BYTES // _CELL_BYTES
+    for top, stop in _spans(probed, cap):
+        xs = np.repeat(np.arange(top, stop, dtype=index.dtype), probed[top:stop])
+        probes = tokens[_ranges(start[top:stop], probed[top:stop])].astype(index.dtype)
+        probes *= m
+        order = np.argsort(probes + xs)
+        lo = np.empty(len(xs), np.int64)
+        hits = np.empty(len(xs), np.int64)
+        lo[order] = np.searchsorted(index, (probes + low[xs].astype(index.dtype))[order])
+        hits[order] = np.searchsorted(index, (probes + xs)[order])
+        hits -= lo
+        del probes, order
+        bounds = np.append(0, np.cumsum(probed[top:stop]))
+        for a, b in _spans(np.add.reduceat(hits, bounds[:-1]), cap):
+            part = slice(bounds[a], bounds[b])
+            runs = np.repeat(xs[part].astype(np.int64) * m, hits[part])
+            runs += index[_ranges(lo[part], hits[part])] % m
+            runs.sort()
+            heads = np.flatnonzero(_heads(runs))
+            keep = heads[np.diff(np.append(heads, len(runs))) >= ell[runs[heads] // m]]
+            del heads
+            yield np.divmod(runs[keep], m)
 
 
 def _cluster_verdicts(records, config):

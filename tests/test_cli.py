@@ -417,6 +417,34 @@ def test_filter_refuses_two_outputs_naming_one_file(
     assert [p.name for p in tmp_path.rglob("*") if not p.is_dir()] == ["in.jsonl"]
 
 
+@pytest.mark.parametrize(
+    "out, report",
+    [("reports/dedup.json", "reports"), ("runs/reports/dedup.json", "runs/reports")],
+    ids=["report-dir", "nested-report-dir"],
+)
+def test_refused_filter_creates_no_directory(tmp_path, capsys, monkeypatch, out, report):
+    monkeypatch.chdir(tmp_path)
+    write_manifest([make_record(id="a", text="some text here")], "in.jsonl")
+    code, stdout, err = run(
+        capsys, "filter", "--manifest", "in.jsonl", "--out", out, "--report", report
+    )
+    assert (code, stdout) == (1, "")
+    assert err == f"error: outputs {out} and {out} name one file\n"
+    assert os.listdir(tmp_path) == ["in.jsonl"]
+
+
+def test_filter_out_into_missing_directory_is_io_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_manifest([make_record(id="a", text="some text here")], "in.jsonl")
+    code, stdout, err = run(
+        capsys, "filter", "--manifest", "in.jsonl", "--out", "nodir/kept.jsonl",
+        "--report", "reports",
+    )
+    assert (code, stdout) == (2, "")
+    assert err == "error: cannot write nodir/kept.jsonl: No such file or directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["in.jsonl", "reports"]
+
+
 def test_filter_end_to_end(tmp_path, capsys):
     recs = [
         make_record(id="a", text="clean sample text", hypothesis="clean sample text"),

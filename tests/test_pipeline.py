@@ -5,12 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import capypipe
+from capypipe import pipeline
 from capypipe.manifest import (
     DedupNormalization,
     Language,
@@ -19,6 +22,7 @@ from capypipe.manifest import (
 )
 from capypipe.metrics import ngram_cosine, normalize
 from capypipe.pipeline import (
+    _mid_overlap,
     _min_overlap,
     _similar_pairs,
     cluster_prune,
@@ -321,6 +325,148 @@ class TestClusterPrune:
         again, _, report = cluster_prune(kept, 0.6, 2)
         assert again == kept
         assert report.dropped == 0
+
+
+def brute_force_pairs(texts, threshold, n):
+    """What _similar_pairs yields, as sorted index pairs, by brute force: each
+    text with the first text equal to it, and each pair of distinct texts of
+    n or more characters, by their first copies, whose shingle Jaccard
+    reaches the threshold."""
+    first = {}
+    pairs = set()
+    for i, text in enumerate(texts):
+        if first.setdefault(text, i) != i:
+            pairs.add((first[text], i))
+    grams = {i: {t[k : k + n] for k in range(len(t) - n + 1)}
+             for t, i in first.items() if len(t) >= n}
+    for i, j in itertools.combinations(sorted(grams), 2):
+        inter = len(grams[i] & grams[j])
+        if inter / (len(grams[i]) + len(grams[j]) - inter) >= threshold:
+            pairs.add((i, j))
+    return pairs
+
+
+def near_copies(rng, alphabet, count, lo, hi):
+    """Random texts over alphabet, half of them copies of an earlier text with
+    one to three characters replaced."""
+    texts = []
+    for _ in range(count):
+        if texts and rng.integers(0, 2):
+            chars = list(texts[rng.integers(0, len(texts))])
+            for _ in range(rng.integers(1, 4)):
+                chars[rng.integers(0, len(chars))] = alphabet[rng.integers(0, len(alphabet))]
+        else:
+            chars = [alphabet[k] for k in rng.integers(0, len(alphabet), rng.integers(lo, hi))]
+        texts.append("".join(chars))
+    return texts
+
+
+class TestSimilarPairsEdges:
+    """The join against brute force where its array bookkeeping could slip:
+    shingle sizes, code points, text boundaries, block edges and budgets."""
+
+    @staticmethod
+    def check(texts, threshold, n):
+        got = [tuple(sorted(p)) for p in _similar_pairs(texts, threshold, n)]
+        assert len(got) == len(set(got))
+        assert set(got) == brute_force_pairs(texts, threshold, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.8])
+    def test_shingle_sizes(self, rng, n, threshold):
+        for _ in range(10):
+            self.check(near_copies(rng, "abcd ", 40, 1, 20), threshold, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_chinese_text(self, rng, n):
+        for _ in range(10):
+            self.check(near_copies(rng, "数据的训练模型语音", 40, 2, 16), 0.5, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_any_code_point_and_no_separator(self, rng, n):
+        # NUL, a lone surrogate and the last code point are ordinary characters;
+        # texts such as "a" + NUL and NUL + "a" would meet across a separator
+        alphabet = ["a", "\x00", "\ud800", "\U0010ffff"]
+        for _ in range(20):
+            self.check(near_copies(rng, alphabet, 30, 1, 9), 0.5, n)
+        self.check(["a\x00", "\x00a", "a\x00a", "\x00\x00\x00", "\x00\x00"], 0.3, 2)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_texts_of_exactly_n_characters(self, rng, n):
+        for _ in range(20):
+            texts = ["".join(rng.choice(list("abc"), size=rng.integers(n - 1, n + 2)))
+                     for _ in range(30)]
+            self.check(texts, 0.5, n)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_corpus_at_a_block_edge(self, rng, monkeypatch, extra):
+        # five distinct letters each, n = 1 and t = 0.6: a = 3 and ell = 2, so
+        # every text probes 4 tokens, and the budget holds the probes of 7 texts
+        assert _min_overlap(5, 0.6) == 3
+        block = 7
+        monkeypatch.setattr(pipeline, "_BLOCK_BYTES", block * 4 * pipeline._CELL_BYTES)
+        pool = ["".join(c) for c in itertools.combinations("abcdefgh", 5)]
+        for _ in range(50):
+            texts = [str(t) for t in rng.choice(pool, size=block + extra, replace=False)]
+            self.check(texts, 0.6, 1)
+            self.check(texts * 2, 0.6, 1)
+
+    @pytest.mark.parametrize("budget", [1, 64, 1000])
+    def test_vocabulary_above_the_budget(self, rng, monkeypatch, budget):
+        # more than a thousand distinct shingles; every span is then one text
+        # or one candidate, and a mark row alone exceeds the budget
+        monkeypatch.setattr(pipeline, "_BLOCK_BYTES", budget)
+        alphabet = [chr(0x4E00 + k) for k in range(1500)]
+        texts = near_copies(rng, alphabet, 60, 20, 40)
+        texts += near_copies(rng, "abcdefgh", 60, 3, 12)
+        for n, threshold in ((1, 0.5), (2, 0.3), (3, 0.8)):
+            self.check(texts, threshold, n)
+
+    def test_pair_at_the_threshold_where_the_mid_prefix_is_tight(self):
+        # |x| = |y| = s sharing a letters, at t = a / (2s - a): the smallest
+        # overlap the indexed prefix allows is a itself
+        for s in range(2, 12):
+            for a in range(1, s):
+                t = a / (2 * s - a)
+                assert _mid_overlap(s, t) == a
+                x = "abcdefghijk"[:s]
+                y = x[:a] + "lmnopqrstuv"[: s - a]
+                assert exact_jaccard(x, y, 1) == t
+                pairs = [tuple(sorted(p)) for p in _similar_pairs([x, y, "z"], t, 1)]
+                assert pairs == [(0, 1)]
+                self.check([x, y, "z"], t, 1)
+                self.check([x, y, "z"], math.nextafter(t, 2.0), 1)
+
+    def test_mid_overlap_is_the_least_overlap_reaching_the_threshold(self):
+        for s in range(1, 60):
+            for t in (0.05, 0.3, 1 / 3, 0.5, 2 / 3, 0.7, 0.8, 0.9, 1.0):
+                a = _mid_overlap(s, t)
+                assert a / (2 * s - a) >= t
+                assert a == 1 or (a - 1) / (2 * s - a + 1) < t
+                assert a >= _min_overlap(s, t)
+
+
+def test_join_memory_stays_within_its_budget():
+    # 2,000 texts of 5-10 random words, like the filter-mixed bench corpus;
+    # one call peaked at 2.9 MiB of traced memory when this test was written
+    rng = np.random.default_rng(5)
+    letters = list("abcdefghijklmnopqrstuvwxyz")
+    texts = [" ".join("".join(rng.choice(letters, size=rng.integers(4, 9)))
+                      for _ in range(rng.integers(5, 11)))
+             for _ in range(2000)]
+    list(_similar_pairs(texts[:100], 0.8, 3))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        list(_similar_pairs(texts, 0.8, 3))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 4.5 * 2**20
 
 
 class TestFilterAsr:
