@@ -12,6 +12,108 @@ HAVE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
+# array passes over many short texts, a span at a time
+
+# the memory budget of one span of an array pass, in bytes
+_BLOCK_BYTES = 1 << 20
+# about the bytes held per element of a span: a posting entry, a token, a character
+_CELL_BYTES = 32
+# packed keys stay below this, to fit int64
+_INT64_END = 2**63
+
+
+def _int(bound: int) -> np.dtype:
+    """int32 when every value below bound fits it, else int64."""
+    return np.dtype(np.int32 if bound <= 2**31 else np.int64)
+
+
+def _heads(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal values begins, as a bool mask."""
+    heads = np.empty(len(values), bool)
+    heads[:1] = True
+    np.not_equal(values[1:], values[:-1], out=heads[1:])
+    return heads
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """range(starts[i], starts[i] + counts[i]) for each i, end to end."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    dtype = _int(max(total, int((starts + counts).max(initial=0))))
+    shift = (starts - ends + counts).astype(dtype)
+    return np.arange(total, dtype=dtype) + np.repeat(shift, counts)
+
+
+def _spans(weights: np.ndarray):
+    """Split range(len(weights)) into consecutive (start, stop) spans whose
+    weights, in bytes, total at most _BLOCK_BYTES; a span of one item may
+    exceed it."""
+    ends = np.cumsum(weights)
+    start = 0
+    while start < len(ends):
+        below = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, below + _BLOCK_BYTES, side="right")))
+        yield start, stop
+        start = stop
+
+
+def _dense(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Rank keys in key order, equal keys alike: int32 ranks and their count."""
+    order = np.argsort(keys)
+    heads = _heads(keys[order])
+    ranks = np.empty(len(keys), np.int32)
+    ranks[order] = np.cumsum(heads, dtype=np.int32) - 1
+    return ranks, int(np.count_nonzero(heads))
+
+
+def _group_sums(groups: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """The sum of values in each group 0..size-1, as exact int64; groups
+    ascend."""
+    totals = np.zeros(len(values) + 1, np.int64)
+    np.cumsum(values, out=totals[1:])
+    return np.diff(totals[np.searchsorted(groups, np.arange(size + 1))])
+
+
+def text_ngrams(texts: list[str], n: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """Each text's n-grams, in text order and then by position, as integer
+    keys below a bound, returned as (keys, bound, counts): text i has
+    counts[i] = len(texts[i]) - n + 1 of them, and every text n or more
+    characters. Keys order like the n-grams (code-point order), equal
+    n-grams alike; hashing plays no part.
+
+    By prefix doubling (Manber & Myers, SODA 1990): the (k + s)-gram at p,
+    s <= k, is the pair of k-grams at p and p + s, so ceil(log2 n) steps
+    reach n. Each step packs a pair of keys into one integer, in pair order;
+    keys are ranked densely again only where packing them would overflow
+    int64. The steps run over the texts end to end; n-grams that cross a
+    boundary are ranked too, and then left out, since boundaries come from
+    the text lengths (a text may hold any code point, NUL included). Where
+    the keys times len(texts) would pass int64, they are ranked densely once
+    more, so that a caller may pack (key, text) into one integer.
+    """
+    m = len(texts)
+    lens = np.fromiter(map(len, texts), np.int64, m)
+    ranks = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), "<i4")
+    bound = int(ranks.max(initial=0)) + 1
+    k = 1
+    while k < n:
+        step = min(k, n - k)
+        if bound * bound > _INT64_END:
+            ranks, bound = _dense(ranks)
+        pair = ranks[:-step].astype(_int(bound * bound))
+        pair *= bound
+        pair += ranks[step:]
+        ranks, bound, k = pair, bound * bound, k + step
+        del pair  # else the last level outlives `del ranks` below
+    counts = lens - n + 1
+    grams = ranks[_ranges(np.cumsum(lens) - lens, counts)]
+    del ranks
+    if bound * m > _INT64_END:
+        grams, bound = _dense(grams)
+    return grams, bound, counts
+
+
+# ---------------------------------------------------------------------------
 # bilinear blend, shared by image resize and position-embedding interpolation
 
 def _bilinear(src: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:

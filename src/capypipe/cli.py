@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -34,7 +35,7 @@ from .manifest import (
     write_lines,
     write_manifest,
 )
-from .metrics import bleu, cer, ngram_cosine, wer
+from .metrics import PairError, bleu, error_rate, ngram_cosines
 from .tiler import plan_tiles
 
 CONFIG_ENV = "CAPYPIPE_CONFIG"
@@ -157,20 +158,20 @@ def cmd_metrics(args: argparse.Namespace, config: PipelineConfig) -> list[str]:
     if args.metric == "bleu":
         score = bleu([refs[k].split() for k in refs], [hyps[k].split() for k in refs])
         return [_dumps({"summary": "bleu", "count": len(refs), "value": score})]
-    value_of = {
-        "wer": lambda ref, hyp: wer(ref, hyp).rate,
-        "cer": lambda ref, hyp: cer(ref, hyp).rate,
-        "sim": lambda ref, hyp: ngram_cosine(ref, hyp, args.ngram),
-    }[args.metric]
-    lines = []
-    values = []
-    for key in refs:
+    keys = list(refs)
+    if args.metric == "sim":
         try:
-            value = value_of(refs[key], hyps[key])
-        except ValueError as exc:
-            raise CliError(f"id {key!r}: {exc}", EXIT_INVALID) from exc
-        values.append(value)
-        lines.append(_dumps({"id": key, "metric": args.metric, "value": value}))
+            values = ngram_cosines([refs[k] for k in keys], [hyps[k] for k in keys], args.ngram)
+        except PairError as exc:
+            raise CliError(f"id {keys[exc.index]!r}: {exc}", EXIT_INVALID) from exc
+    else:
+        values = []
+        for key in keys:
+            try:
+                values.append(error_rate(args.metric, refs[key], hyps[key]))
+            except ValueError as exc:
+                raise CliError(f"id {key!r}: {exc}", EXIT_INVALID) from exc
+    lines = [_dumps({"id": k, "metric": args.metric, "value": v}) for k, v in zip(keys, values)]
     mean = sum(values) / len(values) if values else 0.0
     lines.append(_dumps({"summary": args.metric, "count": len(values), "mean": mean}))
     return lines
@@ -280,12 +281,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `dispatch` call, built once per process."""
+    return build_parser()
+
+
 def dispatch(argv: list[str]) -> int:
     """Run one subcommand and return its exit code: 1 for invalid input (a
     `ValueError`, `ManifestError` or `AudioFormatError`), 2 for an input that
     cannot be read (any other `OSError`) or an output that cannot be written.
     A failure prints one `error:` line to stderr."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # loaded for every subcommand, also those that read no field of it, so
         # that a bad --config or $CAPYPIPE_CONFIG fails the same way everywhere

@@ -17,16 +17,21 @@ at a time within a fixed memory budget.
 `curate` and each public stage function go through it. Every stage reads its
 parameters from the one `PipelineConfig` that `_run` passes it; the public
 stage functions build it from their arguments, so only the config checks them.
+`_run` also passes each stage one memoized `normalize`, so that a run
+normalizes each distinct text once, whichever stages read it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import _kernels
+from ._kernels import _heads, _int, _ranges, _spans, text_ngrams
 from .manifest import (
     DedupNormalization,
     FilterVerdict,
@@ -35,7 +40,13 @@ from .manifest import (
     SampleRecord,
     Scenario,
 )
-from .metrics import cer, jaccard_shingles, ngram_cosine, normalize, wer
+from .metrics import (  # noqa: F401  ngram_cosine: not called here, but perfbench hooks this name
+    error_rate,
+    jaccard_shingles,
+    ngram_cosine,
+    ngram_cosines,
+    normalize,
+)
 
 _HIST_BUCKETS = 10
 
@@ -85,14 +96,19 @@ _DROP_REASONS = {
 }
 _EXACT_DUPLICATE = FilterVerdict(kept=False, stage="dedup", metric_name="exact-duplicate")
 _NEAR_DUPLICATE = FilterVerdict(kept=False, stage="near-duplicate-cluster", metric_name="jaccard")
+_NO_HYPOTHESIS = FilterVerdict(kept=False, stage="asr-filter", metric_name="no-hypothesis")
+_EMPTY_REFERENCE = FilterVerdict(kept=False, stage="asr-filter", metric_name="empty-reference")
+_NO_TRANSLATION = FilterVerdict(kept=False, stage="s2tt-filter", metric_name="no-translation")
 
 
 def _run(records, stages, config: PipelineConfig) -> PipelineResult:
-    """Run each (stage, verdicts_of) in turn; verdicts_of(live records, config)
-    gives one verdict per live record, and None keeps a record as is. Records
-    are tracked by input position, so duplicate ids stay apart and both
-    outputs keep input order.
+    """Run each (stage, verdicts_of) in turn; verdicts_of(live records,
+    config, norm) gives one verdict per live record, and None keeps a record
+    as is. norm is `normalize`, memoized for this run only. Records are
+    tracked by input position, so duplicate ids stay apart and both outputs
+    keep input order.
     """
+    norm = functools.cache(normalize)
     current = list(records)
     live = list(range(len(records)))
     gone: list[int] = []
@@ -100,7 +116,8 @@ def _run(records, stages, config: PipelineConfig) -> PipelineResult:
     for stage, verdicts_of in stages:
         report = FilterReport(stage=stage, input_count=len(live))
         kept = []
-        for i, verdict in zip(live, verdicts_of([current[i] for i in live], config), strict=True):
+        verdicts = verdicts_of([current[i] for i in live], config, norm)
+        for i, verdict in zip(live, verdicts, strict=True):
             if verdict is not None:
                 current[i] = current[i].with_verdict(verdict)
                 if verdict.metric_value is not None:
@@ -118,17 +135,12 @@ def _run(records, stages, config: PipelineConfig) -> PipelineResult:
     )
 
 
-def _each(verdict_of):
-    """A stage that gives each record `verdict_of(record, config)`."""
-    return lambda records, config: [verdict_of(rec, config) for rec in records]
-
-
-def _dedup_verdicts(records, config):
+def _dedup_verdicts(records, config, norm):
     raw = config.dedup_normalization is DedupNormalization.NONE
     seen: set[str] = set()
     verdicts = []
     for rec in records:
-        key = rec.text if raw else normalize(rec.text)
+        key = rec.text if raw else norm(rec.text)
         verdicts.append(_EXACT_DUPLICATE if key in seen else None)
         seen.add(key)
     return verdicts
@@ -151,91 +163,15 @@ def exact_jaccard(a: str, b: str, n: int) -> float:
     return jaccard_shingles(a, b, n)
 
 
-# the join's memory budget: what one span of its scan or verify holds, in bytes
-_BLOCK_BYTES = 1 << 20
-# about the bytes held per posting entry scanned or per token gathered
-_CELL_BYTES = 32
-# packed keys stay below this, to fit int64
-_INT64_END = 2**63
-
-
-def _int(bound: int) -> np.dtype:
-    """int32 when every value below bound fits it, else int64."""
-    return np.dtype(np.int32 if bound <= 2**31 else np.int64)
-
-
-def _heads(values: np.ndarray) -> np.ndarray:
-    """Where each run of equal values begins, as a bool mask."""
-    heads = np.empty(len(values), bool)
-    heads[:1] = True
-    np.not_equal(values[1:], values[:-1], out=heads[1:])
-    return heads
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """range(starts[i], starts[i] + counts[i]) for each i, end to end."""
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    dtype = _int(max(total, int((starts + counts).max(initial=0))))
-    shift = (starts - ends + counts).astype(dtype)
-    return np.arange(total, dtype=dtype) + np.repeat(shift, counts)
-
-
-def _spans(weights: np.ndarray, cap: int):
-    """Split range(len(weights)) into consecutive (start, stop) spans of total
-    weight at most cap; a span of one item may exceed it."""
-    ends = np.cumsum(weights)
-    start = 0
-    while start < len(ends):
-        below = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, below + cap, side="right")))
-        yield start, stop
-        start = stop
-
-
-def _dense(keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rank keys in key order, equal keys alike: int32 ranks and their count."""
-    order = np.argsort(keys)
-    heads = _heads(keys[order])
-    ranks = np.empty(len(keys), np.int32)
-    ranks[order] = np.cumsum(heads, dtype=np.int32) - 1
-    return ranks, int(np.count_nonzero(heads))
-
-
 def _shingle_rows(texts: list[str], n: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Each text's distinct n-grams as tokens that rank rarest first, ties in
     code-point order, returned as (tokens, offsets, vocabulary size): text i's
     tokens, ascending, are tokens[offsets[i] : offsets[i + 1]]. Every text has
-    n or more characters.
-
-    The n-grams are ranked exactly, without hashing, by prefix doubling
-    (Manber & Myers, SODA 1990): the (k + s)-gram at p, s <= k, is the pair
-    of k-grams at p and p + s, so ceil(log2 n) steps reach n. Each step packs
-    a pair of ranks into one integer key, in pair order; keys are ranked
-    densely again only where packing them would overflow int64. The steps
-    run over the texts end to end; n-grams that cross a boundary are ranked
-    too, and then left out, since boundaries come from the text lengths (a
-    text may hold any code point, NUL included).
+    n or more characters. The n-grams are ranked exactly, without hashing,
+    by `text_ngrams`.
     """
     m = len(texts)
-    lens = np.fromiter(map(len, texts), np.int64, m)
-    ranks = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), "<i4")
-    bound = int(ranks.max()) + 1
-    k = 1
-    while k < n:
-        step = min(k, n - k)
-        if bound * bound > _INT64_END:
-            ranks, bound = _dense(ranks)
-        pair = ranks[:-step].astype(_int(bound * bound))
-        pair *= bound
-        pair += ranks[step:]
-        ranks, bound, k = pair, bound * bound, k + step
-        del pair  # else the last level outlives `del ranks` below
-    counts = lens - n + 1
-    grams = ranks[_ranges(np.cumsum(lens) - lens, counts)]
-    del ranks
-    if bound * m > _INT64_END:
-        grams, bound = _dense(grams)
+    grams, bound, counts = text_ngrams(texts, n)
     # each distinct (n-gram, text) pair once, n-gram major
     pairs = grams.astype(_int(bound * m))
     del grams
@@ -331,7 +267,7 @@ def _similar_pairs(texts: list[str], threshold: float, n: int):
     searchsorted calls per probe token cut out the texts visited before x
     with at least a tokens (_candidates). Overlaps are counted in a mark
     matrix of one vocabulary-wide row per x. Each span of probing texts, of
-    posting entries and of verified pairs holds about _BLOCK_BYTES.
+    posting entries and of verified pairs holds about _kernels._BLOCK_BYTES.
     """
     first: dict[str, int] = {}
     joined: list[int] = []  # the input index of each text in the join
@@ -370,9 +306,9 @@ def _similar_pairs(texts: list[str], threshold: float, n: int):
     del indexed
     # mark[row * vocab + token]: the row's x holds the token; a span of
     # candidates may begin inside an x's run, so it holds one row more
-    mark = np.zeros(_BLOCK_BYTES + vocab, bool)
+    mark = np.zeros(_kernels._BLOCK_BYTES + vocab, bool)
     for x, y in _candidates(index, tokens, start, probed, low, ell):
-        for c, d in _spans(size[y] * _CELL_BYTES + _heads(x) * vocab, _BLOCK_BYTES):
+        for c, d in _spans(size[y] * _kernels._CELL_BYTES + _heads(x) * vocab):
             xc, yc, ny = x[c:d], y[c:d], size[y[c:d]]
             fresh = _heads(xc)
             rows = xc[fresh]
@@ -396,12 +332,11 @@ def _candidates(index, tokens, start, probed, low, ell):
     holds token * m + y for each indexed token of each y, sorted.
 
     A span's probe tokens, and then the posting entries it scans, stay within
-    _BLOCK_BYTES. The two posting bounds of each probe token are searched in
+    _kernels._BLOCK_BYTES. The two posting bounds of each probe token are searched in
     (token, x) order, in which both ascend, since low grows with x.
     """
     m = len(start)
-    cap = _BLOCK_BYTES // _CELL_BYTES
-    for top, stop in _spans(probed, cap):
+    for top, stop in _spans(probed * _kernels._CELL_BYTES):
         xs = np.repeat(np.arange(top, stop, dtype=index.dtype), probed[top:stop])
         probes = tokens[_ranges(start[top:stop], probed[top:stop])].astype(index.dtype)
         probes *= m
@@ -413,7 +348,7 @@ def _candidates(index, tokens, start, probed, low, ell):
         hits -= lo
         del probes, order
         bounds = np.append(0, np.cumsum(probed[top:stop]))
-        for a, b in _spans(np.add.reduceat(hits, bounds[:-1]), cap):
+        for a, b in _spans(np.add.reduceat(hits, bounds[:-1]) * _kernels._CELL_BYTES):
             part = slice(bounds[a], bounds[b])
             runs = np.repeat(xs[part].astype(np.int64) * m, hits[part])
             runs += index[_ranges(lo[part], hits[part])] % m
@@ -424,9 +359,9 @@ def _candidates(index, tokens, start, probed, low, ell):
             yield np.divmod(runs[keep], m)
 
 
-def _cluster_verdicts(records, config):
+def _cluster_verdicts(records, config, norm):
     """The near-duplicate verdicts, and the cluster assignment of each record."""
-    texts = [normalize(r.text) for r in records]
+    texts = [norm(r.text) for r in records]
     parent = list(range(len(records)))
 
     def find(x: int) -> int:
@@ -457,42 +392,59 @@ def cluster_prune(
 ) -> tuple[list[SampleRecord], list[ClusterAssignment], FilterReport]:
     """Cluster near-duplicate texts and keep one representative per cluster."""
     config = PipelineConfig(cluster_jaccard_threshold=jaccard_threshold, shingle_n=shingle_n)
-    verdicts, assignments = _cluster_verdicts(records, config)
-    result = _run(records, [("near-duplicate-cluster", lambda recs, config: verdicts)], config)
+    verdicts, assignments = _cluster_verdicts(records, config, normalize)
+    result = _run(records, [("near-duplicate-cluster", lambda *_: verdicts)], config)
     return result.kept, assignments, result.reports[0]
 
 
-def _asr_verdict(record: SampleRecord, config: PipelineConfig) -> FilterVerdict:
-    """The error-rate verdict; a drop without a value when no rate is defined."""
-    if record.hypothesis is None:
-        return FilterVerdict(kept=False, stage="asr-filter", metric_name="no-hypothesis")
-    score, name = (cer, "cer") if record.language is Language.ZH else (wer, "wer")
-    try:
-        summary = score(record.text, record.hypothesis)
-    except ValueError:  # no rate is defined: the reference is empty after normalization
-        return FilterVerdict(kept=False, stage="asr-filter", metric_name="empty-reference")
-    return FilterVerdict(
-        kept=summary.rate <= config.wer_threshold, stage="asr-filter",
-        metric_name=name, metric_value=summary.rate,
-    )
+def _asr_verdicts(records, config, norm):
+    """The error-rate verdicts; a drop without a value where no rate is defined."""
+    verdicts = []
+    for rec in records:
+        if rec.hypothesis is None:
+            verdicts.append(_NO_HYPOTHESIS)
+            continue
+        name = "cer" if rec.language is Language.ZH else "wer"
+        try:
+            rate = error_rate(name, rec.text, rec.hypothesis, norm)
+        except ValueError:  # no rate is defined: the reference is empty after normalization
+            verdicts.append(_EMPTY_REFERENCE)
+            continue
+        verdicts.append(FilterVerdict(
+            kept=rate <= config.wer_threshold, stage="asr-filter",
+            metric_name=name, metric_value=rate,
+        ))
+    return verdicts
 
 
-def _s2tt_verdict(record: SampleRecord, config: PipelineConfig) -> FilterVerdict:
-    if record.translation is None:
-        return FilterVerdict(kept=False, stage="s2tt-filter", metric_name="no-translation")
-    sim = ngram_cosine(normalize(record.text), normalize(record.translation), n=3)
-    return FilterVerdict(
-        kept=sim >= config.s2tt_similarity_threshold, stage="s2tt-filter",
-        metric_name="ngram_cosine", metric_value=sim,
-    )
+def _s2tt_verdicts(records, config, norm):
+    """The similarity verdicts, every translation scored in one batch."""
+    scored = [rec for rec in records if rec.translation is not None]
+    sims = iter(ngram_cosines(
+        [norm(rec.text) for rec in scored], [norm(rec.translation) for rec in scored], n=3
+    ))
+    verdicts = []
+    for rec in records:
+        if rec.translation is None:
+            verdicts.append(_NO_TRANSLATION)
+            continue
+        sim = next(sims)
+        verdicts.append(FilterVerdict(
+            kept=sim >= config.s2tt_similarity_threshold, stage="s2tt-filter",
+            metric_name="ngram_cosine", metric_value=sim,
+        ))
+    return verdicts
 
 
-def _consistency_verdict(record: SampleRecord, config: PipelineConfig) -> FilterVerdict | None:
-    if record.scenario is Scenario.ASR:
-        return _asr_verdict(record, config)
-    if record.scenario is Scenario.S2TT:
-        return _s2tt_verdict(record, config)
-    return None
+def _consistency_verdicts(records, config, norm):
+    """ASR records get their error-rate verdict and S2TT records their
+    similarity verdict; every other record passes as it is (None)."""
+    verdicts = [None] * len(records)
+    for scenario, verdicts_of in ((Scenario.ASR, _asr_verdicts), (Scenario.S2TT, _s2tt_verdicts)):
+        picked = [i for i, rec in enumerate(records) if rec.scenario is scenario]
+        for i, verdict in zip(picked, verdicts_of([records[i] for i in picked], config, norm)):
+            verdicts[i] = verdict
+    return verdicts
 
 
 def filter_asr(
@@ -506,7 +458,7 @@ def filter_asr(
     normalization, are dropped unscored.
     """
     config = PipelineConfig(wer_threshold=threshold)
-    result = _run(records, [("asr-filter", _each(_asr_verdict))], config)
+    result = _run(records, [("asr-filter", _asr_verdicts)], config)
     return result.kept, result.reports[0]
 
 
@@ -515,7 +467,7 @@ def filter_s2tt(
 ) -> tuple[list[SampleRecord], FilterReport]:
     """Keep translation samples whose target text is similar to the reference."""
     config = PipelineConfig(s2tt_similarity_threshold=threshold)
-    result = _run(records, [("s2tt-filter", _each(_s2tt_verdict))], config)
+    result = _run(records, [("s2tt-filter", _s2tt_verdicts)], config)
     return result.kept, result.reports[0]
 
 
@@ -530,8 +482,8 @@ def curate(records: list[SampleRecord], config: PipelineConfig | None = None) ->
     records = [rec if rec.verdict is None else rec.with_verdict(None) for rec in records]
     return _run(records, [
         ("dedup", _dedup_verdicts),
-        ("near-duplicate-cluster", lambda recs, config: _cluster_verdicts(recs, config)[0]),
-        ("consistency-filter", _each(_consistency_verdict)),
+        ("near-duplicate-cluster", lambda *args: _cluster_verdicts(*args)[0]),
+        ("consistency-filter", _consistency_verdicts),
     ], config)
 
 

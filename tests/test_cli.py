@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capypipe
+from capypipe import cli
 from capypipe.cli import build_parser, dispatch
 from capypipe.manifest import (
     MediaKind,
@@ -22,6 +23,7 @@ from capypipe.manifest import (
     read_manifest,
     write_manifest,
 )
+from capypipe.metrics import ngram_cosine
 
 from conftest import audio_ref, make_record, write_pcm16_wav
 
@@ -67,6 +69,47 @@ def test_metrics_wer_identical(tmp_path, capsys):
     rows = [json.loads(line) for line in out.splitlines()]
     assert all(r["value"] == 0.0 for r in rows if "id" in r)
     assert rows[-1]["mean"] == 0.0
+
+
+def test_dispatch_builds_one_parser_and_keeps_no_values(tmp_path, capsys, monkeypatch):
+    ref = tmp_path / "r.tsv"
+    ref.write_text("a\tab\n")
+    hyp = tmp_path / "h.tsv"
+    hyp.write_text("a\tba\n")
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        argv = ["metrics", "sim", "--ref", str(ref), "--hyp", str(hyp)]
+        values = []
+        for extra in (["--ngram", "1"], [], ["--ngram", "1"]):
+            code, out, _ = run(capsys, *argv, *extra)
+            assert code == 0
+            values.append(json.loads(out.splitlines()[0])["value"])
+        # the default n = 3 holds again after --ngram 1
+        assert values == [1.0, ngram_cosine("ab", "ba", 3), 1.0]
+        assert len(built) == 1
+        assert cli.build_parser() is not cli.build_parser()
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_metrics_names_the_first_unscorable_id(tmp_path, capsys):
+    ref = tmp_path / "r.tsv"
+    ref.write_text("a\tone two\nb\t \u3000\nc\t\nd\t\n")
+    hyp = tmp_path / "h.tsv"
+    hyp.write_text("a\tone\nb\tx\nc\t\nd\t\n")
+    for metric, expect in [
+        ("wer", "error: id 'b': reference is empty after tokenization; WER undefined\n"),
+        ("cer", "error: id 'b': reference is empty after normalization; CER undefined\n"),
+    ]:
+        argv = ["metrics", metric, "--ref", str(ref), "--hyp", str(hyp)]
+        assert run(capsys, *argv) == (1, "", expect)
+    argv = ["metrics", "sim", "--ref", str(ref), "--hyp", str(hyp), "--ngram", "1"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: id 'c': both strings are shorter than n=1 after padding\n"
 
 
 def test_metrics_bleu(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -187,6 +188,26 @@ def test_round_trip_byte_stable(tmp_path):
     write_manifest(recs, p1)
     write_manifest(read_manifest(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("verdict", [
+    None,
+    FilterVerdict(kept=True),
+    FilterVerdict(kept=False, stage="asr-filter", metric_name="wer", metric_value=0.5),
+])
+def test_with_verdict_equals_replace(verdict):
+    rec = SampleRecord(
+        id="r", scenario=Scenario.S2TT, language=Language.ZH_ENG, text="text",
+        media=(audio_ref(), MediaRef(kind=MediaKind.IMAGE, path="i.png", width=3, height=4)),
+        hypothesis="hyp", translation="translation", source="setA",
+        verdict=FilterVerdict(kept=False, stage="dedup", metric_name="exact-duplicate"),
+        extra={"annotator": "team-3", "weights": [1, 2]},
+    )
+    new = rec.with_verdict(verdict)
+    assert new == dataclasses.replace(rec, verdict=verdict)
+    assert new.verdict is verdict
+    assert new.extra is rec.extra and new.media is rec.media
+    assert rec.verdict.stage == "dedup"
 
 
 class TestValidate:

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capypipe import _kernels
 from capypipe.metrics import (
     EditSummary,
+    PairError,
     bleu,
     cer,
+    error_rate,
     jaccard_shingles,
     ngram_cosine,
+    ngram_cosines,
     normalize,
     wer,
 )
@@ -71,6 +75,14 @@ class TestNormalize:
     ))
     def test_idempotent(self, text):
         assert normalize(normalize(text)) == normalize(text)
+
+    def test_normal_text_comes_back_as_itself(self):
+        # so that a memo of normalize keeps one copy of an already normal text
+        for text in ("hello world", "猫 ａ 123 é", "a\x01b"):
+            assert normalize(text) is text
+        for text in ("Hello  World", "１２３", "e\u0301"):
+            once = normalize(text)
+            assert once != text and normalize(once) is once
 
 
 class TestWer:
@@ -170,6 +182,122 @@ class TestNgramCosine:
 
     def test_largest_n_accepted(self):
         assert ngram_cosine("abc", "abc", 100) == 1.0
+
+
+def counter_cosine(a, b, n):
+    """The n-gram cosine as `Counter` arithmetic, the way `ngram_cosine`
+    computed it before it became a batch of one."""
+    def grams(text):
+        if n > 1:
+            text = "\x01" * (n - 1) + text + "\x01" * (n - 1)
+        return Counter(text[i : i + n] for i in range(len(text) - n + 1))
+
+    va, vb = grams(a), grams(b)
+    if not va and not vb:
+        raise ValueError(f"both strings are shorter than n={n} after padding")
+    if not va or not vb:
+        return 0.0
+    if va == vb:
+        return 1.0
+    dot = sum(cnt * vb[g] for g, cnt in va.items())
+    norm = math.sqrt(sum(c * c for c in va.values())) * math.sqrt(sum(c * c for c in vb.values()))
+    return dot / norm
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+# the boundary character, non-BMP scalars, CJK, accents and spaces
+_cosine_text = st.text(
+    alphabet=st.sampled_from(["a", "b", " ", "\x01", "\U0001f600", "\U0010fffd", "中", "é"]),
+    max_size=14,
+)
+
+
+class TestNgramCosines:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(_cosine_text, _cosine_text), max_size=20),
+        st.sampled_from([1, 2, 3, 4, 5, 100]),
+    )
+    def test_equals_counter_cosine_bit_for_bit(self, pairs, n):
+        a, b = [x for x, _ in pairs], [y for _, y in pairs]
+        expect = []
+        for k, (x, y) in enumerate(pairs):
+            try:
+                expect.append(counter_cosine(x, y, n))
+            except ValueError as exc:
+                with pytest.raises(PairError, match=f"^{exc}$") as raised:
+                    ngram_cosines(a, b, n)
+                assert raised.value.index == k
+                return
+        got = ngram_cosines(a, b, n)
+        assert all(type(v) is float for v in got)
+        assert _bits(got) == _bits(expect)
+
+    @pytest.mark.parametrize("cells", [1, 7, 40, 100, 1000])
+    def test_span_edges_do_not_change_values(self, rng, monkeypatch, cells):
+        alphabet = ["a", "b", "c", " ", "\x01", "\U0001f600"]
+        a = ["".join(rng.choice(alphabet, size=int(rng.integers(0, 60)))) for _ in range(60)]
+        b = [x[::-1] if k % 3 else "".join(rng.choice(alphabet, size=int(rng.integers(0, 60))))
+             for k, x in enumerate(a)]
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", cells * _kernels._CELL_BYTES)
+        for n in (1, 2, 3, 5, 100):
+            pairs = [(x, y) for x, y in zip(a, b) if n > 1 or x or y]
+            expect = [counter_cosine(x, y, n) for x, y in pairs]
+            got = ngram_cosines([x for x, _ in pairs], [y for _, y in pairs], n)
+            assert _bits(got) == _bits(expect)
+
+    def test_edge_results(self):
+        assert ngram_cosines([], [], 3) == []
+        assert ngram_cosines(["", "ab"], ["xy", ""], 1) == [0.0, 0.0]
+        assert ngram_cosines(["", "ab"], ["", "ba"], 2) == [1.0, counter_cosine("ab", "ba", 2)]
+        # anagrams have equal unigram vectors
+        assert ngram_cosines(["abc"], ["cab"], 1) == [1.0]
+
+    def test_names_the_first_pair_without_ngrams(self):
+        message = r"^both strings are shorter than n=1 after padding$"
+        with pytest.raises(PairError, match=message) as raised:
+            ngram_cosines(["a", "", "b", ""], ["b", "", "", ""], 1)
+        assert raised.value.index == 1
+        assert isinstance(raised.value, ValueError)
+
+    @pytest.mark.parametrize("n", [0, 101])
+    def test_n_checked_before_any_pair(self, n):
+        with pytest.raises(ValueError, match=r"^n must be in 1\.\.100, got "):
+            ngram_cosines([""], [""], n)
+
+    def test_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError):
+            ngram_cosines(["a", "b"], ["a"], 3)
+
+
+class TestErrorRate:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["wer", "cer"]),
+        st.text(alphabet="ab 中Ａ０\u3000\U0001f600", max_size=90),
+        st.text(alphabet="ab 中Ａ０\u3000\U0001f600", max_size=90),
+    )
+    def test_equals_the_summary_rate(self, metric, ref, hyp):
+        score = {"wer": wer, "cer": cer}[metric]
+        try:
+            expect = score(ref, hyp).rate
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                error_rate(metric, ref, hyp)
+            return
+        assert error_rate(metric, ref, hyp).hex() == expect.hex()
+
+    def test_equal_units_score_zero(self):
+        assert error_rate("cer", "中 文", "中文") == 0.0
+        assert error_rate("wer", "A  b", "a b") == 0.0
+
+    def test_reads_texts_through_norm(self):
+        seen = []
+        rate = error_rate("wer", "A b", "a c", lambda text: seen.append(text) or normalize(text))
+        assert (rate, seen) == (0.5, ["A b", "a c"])
 
 
 class TestJaccard:

@@ -13,14 +13,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import capypipe
-from capypipe import pipeline
+from capypipe import _kernels, pipeline
 from capypipe.manifest import (
     DedupNormalization,
+    FilterVerdict,
     Language,
     PipelineConfig,
     Scenario,
 )
-from capypipe.metrics import ngram_cosine, normalize
+from capypipe.metrics import cer, ngram_cosine, normalize, wer
 from capypipe.pipeline import (
     _mid_overlap,
     _min_overlap,
@@ -404,7 +405,7 @@ class TestSimilarPairsEdges:
         # every text probes 4 tokens, and the budget holds the probes of 7 texts
         assert _min_overlap(5, 0.6) == 3
         block = 7
-        monkeypatch.setattr(pipeline, "_BLOCK_BYTES", block * 4 * pipeline._CELL_BYTES)
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", block * 4 * _kernels._CELL_BYTES)
         pool = ["".join(c) for c in itertools.combinations("abcdefgh", 5)]
         for _ in range(50):
             texts = [str(t) for t in rng.choice(pool, size=block + extra, replace=False)]
@@ -415,7 +416,7 @@ class TestSimilarPairsEdges:
     def test_vocabulary_above_the_budget(self, rng, monkeypatch, budget):
         # more than a thousand distinct shingles; every span is then one text
         # or one candidate, and a mark row alone exceeds the budget
-        monkeypatch.setattr(pipeline, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(_kernels, "_BLOCK_BYTES", budget)
         alphabet = [chr(0x4E00 + k) for k in range(1500)]
         texts = near_copies(rng, alphabet, 60, 20, 40)
         texts += near_copies(rng, "abcdefgh", 60, 3, 12)
@@ -706,6 +707,112 @@ class TestRunPipeline:
         assert verdict.kept is False
         assert verdict.stage == "asr-filter"
         assert verdict.metric_value is not None
+
+
+def _consistency_corpus(rng, empty_language):
+    """ASR records in English and Chinese and S2TT records, each text distinct,
+    with hypotheses and translations equal, perturbed, unrelated, missing and
+    past 64 units, and one ASR record whose reference is empty after
+    normalization."""
+    words = ["alpha", "beta", "Gamma", "delta", "ｅｐｓ", "０７", "zeta"]
+    chars = list("的一是在不了有和人这中大为上个国我") + ["\U00020000", "\u3000", "Ａ", "５"]
+
+    def text(i, units, joiner, size):
+        return f"t{i} " + joiner.join(rng.choice(units, size=size))
+
+    def variant(i, units, joiner, base):
+        roll = i % 5
+        if roll == 0:
+            return None
+        if roll == 1:
+            return base.upper()
+        if roll == 2:
+            return text(i, units, joiner, int(rng.integers(0, 90)))
+        cut = list(base)
+        for _ in range(int(rng.integers(1, 8))):
+            cut[int(rng.integers(0, len(cut)))] = str(rng.choice(units))[0]
+        return "".join(cut)
+
+    recs = []
+    for i in range(240):
+        zh = i % 3 == 0
+        units, joiner = (chars, "") if zh else (words, " ")
+        base = text(i, units, joiner, int(rng.choice([3, 12, 70, 150])))
+        if i % 4 == 3:
+            recs.append(make_record(
+                id=f"s{i}", scenario=Scenario.S2TT, language=Language.ZH_ENG, media=(),
+                text=base, translation=variant(i, units, joiner, base),
+            ))
+        else:
+            recs.append(make_record(
+                id=f"a{i}", language=Language.ZH if zh else Language.ENG,
+                text=base, hypothesis=variant(i, units, joiner, base),
+            ))
+    recs.append(make_record(id="empty", language=empty_language, text=" \u3000 ", hypothesis="x"))
+    recs.append(make_record(id="q", scenario=Scenario.QA, media=(), text="a question"))
+    return recs
+
+
+class TestConsistencyStage:
+    @pytest.mark.parametrize("empty_language", [Language.ZH, Language.ENG])
+    def test_verdicts_equal_the_per_pair_metrics(self, rng, empty_language):
+        recs = _consistency_corpus(rng, empty_language)
+        # so that every record reaches the consistency stage
+        config = PipelineConfig(cluster_jaccard_threshold=1.0)
+        result = curate(recs, config)
+        assert [r.dropped for r in result.reports[:2]] == [0, 0]
+        judged = {r.id: r.verdict for r in result.kept + result.dropped}
+        for rec in recs:
+            if rec.scenario is Scenario.S2TT:
+                if rec.translation is None:
+                    expect = FilterVerdict(False, "s2tt-filter", "no-translation")
+                else:
+                    sim = ngram_cosine(normalize(rec.text), normalize(rec.translation), 3)
+                    expect = FilterVerdict(
+                        sim >= config.s2tt_similarity_threshold, "s2tt-filter", "ngram_cosine", sim
+                    )
+            elif rec.scenario is Scenario.ASR:
+                score, name = (cer, "cer") if rec.language is Language.ZH else (wer, "wer")
+                if rec.hypothesis is None:
+                    expect = FilterVerdict(False, "asr-filter", "no-hypothesis")
+                else:
+                    try:
+                        rate = score(rec.text, rec.hypothesis).rate
+                    except ValueError:
+                        expect = FilterVerdict(False, "asr-filter", "empty-reference")
+                    else:
+                        expect = FilterVerdict(
+                            rate <= config.wer_threshold, "asr-filter", name, rate
+                        )
+            else:
+                expect = None
+            assert judged[rec.id] == expect, rec
+        reasons = result.reports[2].drop_reasons
+        assert reasons["empty-reference"] == 1
+        assert {"no-hypothesis", "no-translation", "low-similarity",
+                "error-rate-above-threshold"} <= set(reasons)
+
+    def test_normalizes_each_distinct_string_once(self, rng, monkeypatch):
+        recs = _consistency_corpus(rng, Language.ZH)
+        # exact and normalized copies, and a translation equal to its text
+        recs += [
+            dataclasses.replace(recs[1], id="copy"),
+            dataclasses.replace(recs[2], id="case", text=recs[2].text.upper()),
+            make_record(id="same", scenario=Scenario.S2TT, language=Language.ZH_ENG, media=(),
+                        text="one more text", translation="one more text"),
+        ]
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return normalize(text)
+
+        monkeypatch.setattr(pipeline, "normalize", counted)
+        curate(recs)
+        strings = {s for r in recs for s in (r.text, r.hypothesis, r.translation) if s is not None}
+        assert len(calls) == len(set(calls))
+        assert set(calls) <= strings
+        assert {r.text for r in recs} <= set(calls)
 
 
 class TestStats:
