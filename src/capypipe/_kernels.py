@@ -16,7 +16,7 @@ HAVE_NUMBA = False
 
 # the memory budget of one span of an array pass, in bytes
 _BLOCK_BYTES = 1 << 20
-# about the bytes held per element of a span: a posting entry, a token, a character
+# about the bytes held per element of a span: a posting entry, a token, a character, a tap
 _CELL_BYTES = 32
 # packed keys stay below this, to fit int64
 _INT64_END = 2**63
@@ -157,8 +157,6 @@ def grid_interp(src: np.ndarray, out_r: int, out_c: int) -> np.ndarray:
 _KAISER_BETA = 14.0
 _ZERO_CROSSINGS = 32
 _I0_TERMS = 40
-# output samples per weight block: memory is bounded by this, not by duration
-_RESAMPLE_BLOCK = 4096
 
 
 def _i0_series(x):
@@ -181,8 +179,9 @@ def sinc_resample(x: np.ndarray, ratio: float, n_out: int) -> np.ndarray:
     offs = np.arange(-width, width + 2, dtype=np.int64)
     i0_beta = _i0_series(np.array(_KAISER_BETA))
     out = np.empty(n_out, dtype=np.float64)
-    for start in range(0, n_out, _RESAMPLE_BLOCK):
-        stop = min(start + _RESAMPLE_BLOCK, n_out)
+    block = max(1, _BLOCK_BYTES // (len(offs) * _CELL_BYTES))
+    for start in range(0, n_out, block):
+        stop = min(start + block, n_out)
         t = np.arange(start, stop, dtype=np.float64) / ratio
         base = np.floor(t).astype(np.int64)
         idx = base[:, None] + offs[None, :]

@@ -60,7 +60,7 @@ def decode_wav(path: str | Path) -> tuple[np.ndarray, int]:
             sampwidth = wf.getsampwidth()
             rate = wf.getframerate()
             n_frames = wf.getnframes()
-            raw = wf.readframes(n_frames)
+            raw = wf.readframes(n_frames + 1)  # and a part frame that `wave`'s count drops
     except (wave.Error, EOFError) as exc:
         # `wave` raises a bare EOFError when the file ends inside a header chunk
         reason = str(exc) or "header is cut short"
@@ -73,10 +73,10 @@ def decode_wav(path: str | Path) -> tuple[np.ndarray, int]:
         raise AudioFormatError(f"{path}: expected mono or stereo, got {n_channels} channels")
     if len(raw) % (2 * n_channels):
         raise AudioFormatError(f"{path}: data chunk ends inside a sample frame")
-    pcm = np.frombuffer(raw, dtype="<i2").astype(np.float64)
-    if n_channels == 2:
-        pcm = pcm.reshape(-1, 2).mean(axis=1)
-    return pcm / 32768.0, rate
+    # the mean casts to float64 as it sums: no interleaved float copy
+    pcm = np.frombuffer(raw, dtype="<i2").reshape(-1, n_channels).mean(axis=1)
+    pcm /= 32768.0
+    return pcm, rate
 
 
 def write_wav(samples: np.ndarray, rate: int, path: str | Path) -> None:
@@ -96,8 +96,6 @@ def resample_16k(samples: np.ndarray, rate: int) -> np.ndarray:
     if rate == TARGET_RATE:
         return samples.copy()
     n_out = round(len(samples) * TARGET_RATE / rate)
-    if n_out == 0:
-        return np.zeros(0)
     return _kernels.sinc_resample(samples, TARGET_RATE / rate, n_out)
 
 

@@ -26,6 +26,7 @@ from .manifest import (
     MAX_NGRAM,
     ManifestError,
     PipelineConfig,
+    _COMPACT_JSON,
     _count,
     dumps_record,
     read_keyed,
@@ -94,8 +95,7 @@ def _emit(lines: list[str], out: str | None) -> None:
         write_lines({out: lines})
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+_dumps = _COMPACT_JSON.encode
 
 
 # ---------------------------------------------------------------------------

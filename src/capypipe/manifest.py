@@ -57,6 +57,8 @@ def _object(what: str, val: Any) -> dict[str, Any]:
 
 # a JSON escape of a UTF-16 surrogate, \ud800-\udfff, paired or not
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+# the encoder of every JSON line capypipe writes, built once rather than per line
+_COMPACT_JSON = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
 def _str(key: str, val: Any, optional: bool = False) -> str | None:
@@ -305,7 +307,7 @@ def require_valid(records: Iterable[SampleRecord]) -> None:
 
 
 def dumps_record(record: SampleRecord) -> str:
-    return json.dumps(record.to_json(), ensure_ascii=False, separators=(",", ":"))
+    return _COMPACT_JSON.encode(record.to_json())
 
 
 def read_keyed(path: str | Path, parse: Callable[[str], tuple[str, Any]], what: str) -> dict:
@@ -339,7 +341,7 @@ def _keyed_record(line: str) -> tuple[str, SampleRecord]:
         # only a \ud800-\udfff escape can put a lone surrogate in UTF-8 text,
         # and one would make every later write fail
         try:
-            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            _COMPACT_JSON.encode(obj).encode("utf-8")
         except UnicodeEncodeError:
             raise ValueError("a string holds a lone surrogate escape") from None
     rec = SampleRecord.from_json(obj)

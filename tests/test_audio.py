@@ -64,6 +64,45 @@ class TestDecodeWav:
         samples, _ = decode_wav(p)
         assert np.all(samples == 0.0)
 
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_matches_float_downmix(self, tmp_path, rng, channels):
+        import wave
+
+        pcm = rng.integers(-32768, 32768, size=(1000, channels)).astype("<i2")
+        pcm[:2] = [[-32768] * channels, [32767] * channels]
+        pcm[2] = [-32768, 32767][:channels]
+        p = tmp_path / "x.wav"
+        with wave.open(str(p), "wb") as wf:
+            wf.setnchannels(channels)
+            wf.setsampwidth(2)
+            wf.setframerate(44100)
+            wf.writeframes(pcm.tobytes())
+        samples, _ = decode_wav(p)
+        ref = pcm.astype(np.float64).mean(axis=1) if channels == 2 else pcm[:, 0].astype(np.float64)
+        assert samples.dtype == np.float64
+        assert samples.tobytes() == (ref / 32768.0).tobytes()
+
+    def test_stereo_holds_no_interleaved_float_copy(self, tmp_path):
+        import tracemalloc
+        import wave
+
+        n = 200_000
+        p = tmp_path / "st.wav"
+        with wave.open(str(p), "wb") as wf:
+            wf.setnchannels(2)
+            wf.setsampwidth(2)
+            wf.setframerate(44100)
+            wf.writeframes(bytes(4 * n))
+        tracemalloc.start()
+        try:
+            decode_wav(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the raw bytes and the mono float64 output; a float64 copy of both
+        # channels alone would be twice the output
+        assert peak < 4 * n + 2 * 8 * n, peak
+
     def test_rejects_wrong_bit_depth(self, tmp_path):
         import wave
 

@@ -4,6 +4,7 @@ import errno
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -355,12 +356,23 @@ def test_audio_profile_rejects_truncated_wav(tmp_path, capsys, size):
     assert err == f"error: {p}: not a supported RIFF/WAVE file: header is cut short\n"
 
 
-# mono: 45 of 244 bytes, one byte of a sample; stereo: one and a half frames
-@pytest.mark.parametrize("channels, size", [(1, 45), (2, 50)])
-def test_audio_profile_rejects_wav_cut_inside_frame(tmp_path, capsys, channels, size):
+# cut: mono, 45 of 244 bytes, one byte of a sample; stereo, one and a half
+# frames. Declared: the same files, whole, with headers that say so (a 5-byte
+# mono and a 6-byte stereo data chunk), which `wave` rounds down to whole frames
+@pytest.mark.parametrize("channels, size, declared", [
+    pytest.param(1, 45, False, id="1-45"),
+    pytest.param(2, 50, False, id="2-50"),
+    pytest.param(1, 49, True, id="1-declared-5"),
+    pytest.param(2, 50, True, id="2-declared-6"),
+])
+def test_audio_profile_rejects_wav_cut_inside_frame(tmp_path, capsys, channels, size, declared):
     p = tmp_path / "t.wav"
     write_pcm16_wav(p, 16000, n_samples=100, channels=channels)
-    p.write_bytes(p.read_bytes()[:size])
+    wav = bytearray(p.read_bytes()[:size])
+    if declared:
+        struct.pack_into("<I", wav, 4, size - 8)  # RIFF chunk
+        struct.pack_into("<I", wav, 40, size - 44)  # data chunk
+    p.write_bytes(wav)
     code, out, err = run(capsys, "audio-profile", "--wav", str(p))
     assert (code, out) == (1, "")
     assert err == f"error: {p}: data chunk ends inside a sample frame\n"

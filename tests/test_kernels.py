@@ -176,17 +176,23 @@ def test_bilinear_resize_memory_stays_near_output_size(rng):
 
 
 def test_resample_blocks_do_not_change_output(rng, monkeypatch):
-    x = rng.normal(size=4800)
-    whole = _kernels.sinc_resample(x, 1 / 3, 1600)
-    monkeypatch.setattr(_kernels, "_RESAMPLE_BLOCK", 7)
-    assert np.array_equal(_kernels.sinc_resample(x, 1 / 3, 1600), whole)
+    # 25 ms at each rate, so 400 outputs, in blocks of 1, 7 and more than 400
+    for rate in (8000, 44100, 48000, 192000):
+        x = rng.normal(size=rate // 40)
+        ratio = 16000 / rate
+        whole = _kernels.sinc_resample(x, ratio, 400)
+        taps = 2 * math.ceil(32 / min(1.0, ratio)) + 2
+        for block in (1, 7, 401):
+            monkeypatch.setattr(_kernels, "_BLOCK_BYTES", block * taps * _kernels._CELL_BYTES)
+            assert np.array_equal(_kernels.sinc_resample(x, ratio, 400), whole), (rate, block)
+        monkeypatch.undo()
 
 
-def _resample_peak_bytes(seconds, rng):
-    x = rng.normal(size=48000 * seconds)
+def _resample_peak_bytes(seconds, rng, rate=48000):
+    x = rng.normal(size=round(rate * seconds))
     tracemalloc.start()
     try:
-        _kernels.sinc_resample(x, 1 / 3, 16000 * seconds)
+        _kernels.sinc_resample(x, 16000 / rate, round(16000 * seconds))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -197,3 +203,10 @@ def test_resample_memory_does_not_grow_with_duration(rng):
     four = _resample_peak_bytes(4, rng)
     # the 4 s output is 0.4 MB larger; everything else is per block
     assert four <= one + 2**20, (one, four)
+
+
+def test_resample_memory_does_not_grow_with_kernel_width(rng):
+    # 770 taps per output at 192 kHz: the block shrinks as the kernel widens,
+    # so each temporary stays near _BLOCK_BYTES
+    peak = _resample_peak_bytes(0.5, rng, rate=192000)
+    assert peak < 8 * 2**20, peak
