@@ -66,30 +66,21 @@ def _dense(keys: np.ndarray) -> tuple[np.ndarray, int]:
     return ranks, int(np.count_nonzero(heads))
 
 
-def _group_sums(groups: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """The sum of values in each group 0..size-1, as exact int64; groups
-    ascend."""
-    totals = np.zeros(len(values) + 1, np.int64)
-    np.cumsum(values, out=totals[1:])
-    return np.diff(totals[np.searchsorted(groups, np.arange(size + 1))])
-
-
-def text_ngrams(texts: list[str], n: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """Each text's n-grams, in text order and then by position, as integer
-    keys below a bound, returned as (keys, bound, counts): text i has
-    counts[i] = len(texts[i]) - n + 1 of them, and every text n or more
-    characters. Keys order like the n-grams (code-point order), equal
-    n-grams alike; hashing plays no part.
+def text_ngrams(texts: list[str], n: int) -> np.ndarray:
+    """Every n-gram occurrence of every text as one sorted integer key,
+    gram * len(texts) + i for an n-gram of text i, where each text has n or
+    more characters: keys // len(texts) order like the n-grams (code-point
+    order), equal n-grams alike, and keys % len(texts) is the text. Hashing
+    plays no part.
 
     By prefix doubling (Manber & Myers, SODA 1990): the (k + s)-gram at p,
     s <= k, is the pair of k-grams at p and p + s, so ceil(log2 n) steps
     reach n. Each step packs a pair of keys into one integer, in pair order;
     keys are ranked densely again only where packing them would overflow
-    int64. The steps run over the texts end to end; n-grams that cross a
-    boundary are ranked too, and then left out, since boundaries come from
-    the text lengths (a text may hold any code point, NUL included). Where
-    the keys times len(texts) would pass int64, they are ranked densely once
-    more, so that a caller may pack (key, text) into one integer.
+    int64, here and for the (n-gram, text) key. The steps run over the texts
+    end to end; n-grams that cross a boundary are ranked too, and then left
+    out, since boundaries come from the text lengths (a text may hold any
+    code point, NUL included).
     """
     m = len(texts)
     lens = np.fromiter(map(len, texts), np.int64, m)
@@ -106,11 +97,15 @@ def text_ngrams(texts: list[str], n: int) -> tuple[np.ndarray, int, np.ndarray]:
         ranks, bound, k = pair, bound * bound, k + step
         del pair  # else the last level outlives `del ranks` below
     counts = lens - n + 1
-    grams = ranks[_ranges(np.cumsum(lens) - lens, counts)]
+    keys = ranks[_ranges(np.cumsum(lens) - lens, counts)]
     del ranks
     if bound * m > _INT64_END:
-        grams, bound = _dense(grams)
-    return grams, bound, counts
+        keys, bound = _dense(keys)
+    keys = keys.astype(_int(bound * m))
+    keys *= m
+    keys += np.repeat(np.arange(m, dtype=np.int32), counts)
+    keys.sort()
+    return keys
 
 
 # ---------------------------------------------------------------------------

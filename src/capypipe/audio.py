@@ -45,7 +45,7 @@ class MelSpectrogram:
     values: np.ndarray  # shape (n_mels, n_frames), float32
 
 
-class AudioFormatError(Exception):
+class AudioFormatError(ValueError):
     """Raised for WAV files outside the supported PCM16 subset."""
 
 

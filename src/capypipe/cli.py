@@ -24,7 +24,6 @@ from . import tokens as tokens_mod
 from . import video as video_mod
 from .manifest import (
     MAX_NGRAM,
-    ManifestError,
     PipelineConfig,
     _COMPACT_JSON,
     _count,
@@ -65,7 +64,7 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
         if path:
             return PipelineConfig.from_file(path, **overrides)
         return PipelineConfig(**overrides)
-    except (ManifestError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"invalid config: {exc}", EXIT_INVALID) from exc
 
 
@@ -289,9 +288,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def dispatch(argv: list[str]) -> int:
     """Run one subcommand and return its exit code: 1 for invalid input (a
-    `ValueError`, `ManifestError` or `AudioFormatError`), 2 for an input that
-    cannot be read (any other `OSError`) or an output that cannot be written.
-    A failure prints one `error:` line to stderr."""
+    `ValueError`, `ManifestError` and `AudioFormatError` among them), 2 for an
+    input that cannot be read (any other `OSError`) or an output that cannot
+    be written. A failure prints one `error:` line to stderr."""
     args = _parser().parse_args(argv)
     try:
         # loaded for every subcommand, also those that read no field of it, so
@@ -302,7 +301,7 @@ def dispatch(argv: list[str]) -> int:
         return EXIT_OK
     except CliError as exc:
         message, code = str(exc), exc.code
-    except (ValueError, ManifestError, audio_mod.AudioFormatError) as exc:
+    except ValueError as exc:
         message, code = str(exc), EXIT_INVALID
     except OSError as exc:  # outputs fail inside `cannot write` blocks
         message = f"cannot read {exc.filename}: {exc.strerror}" if exc.filename else str(exc)

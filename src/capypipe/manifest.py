@@ -45,7 +45,7 @@ class DedupNormalization(str, Enum):
     NONE = "none"
 
 
-class ManifestError(Exception):
+class ManifestError(ValueError):
     """Raised for malformed manifest files or invalid records."""
 
 
@@ -259,7 +259,11 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides: Any) -> "PipelineConfig":
-        data = _object("config file", json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except RecursionError as exc:  # nested past the interpreter's recursion limit
+            raise ValueError(str(exc)) from exc
+        data = _object("config file", data)
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -307,14 +311,20 @@ def require_valid(records: Iterable[SampleRecord]) -> None:
 
 
 def dumps_record(record: SampleRecord) -> str:
-    return _COMPACT_JSON.encode(record.to_json())
+    """The record as one compact JSON line; a `ValueError` naming the record
+    where a value nests past the interpreter's recursion limit."""
+    try:
+        return _COMPACT_JSON.encode(record.to_json())
+    except RecursionError as exc:
+        raise ValueError(f"record {record.id!r} cannot be written: {exc}") from exc
 
 
 def read_keyed(path: str | Path, parse: Callable[[str], tuple[str, Any]], what: str) -> dict:
     """Read one item per line, `parse(line) -> (id, item)`, into {id: item} in
     file order, skipping blank lines. A line not UTF-8 or that `parse` rejects
-    (KeyError, TypeError, ValueError) fails as `path:line: malformed <what>`,
-    and an id seen twice fails naming both lines; each is a `ManifestError`."""
+    (KeyError, TypeError, ValueError, or RecursionError for a value nested past
+    the interpreter's limit) fails as `path:line: malformed <what>`, and an id
+    seen twice fails naming both lines; each is a `ManifestError`."""
     items: dict[str, Any] = {}
     lines: dict[str, int] = {}
     with open(path, "rb") as fh:
@@ -324,7 +334,7 @@ def read_keyed(path: str | Path, parse: Callable[[str], tuple[str, Any]], what: 
                 if not line.strip():
                     continue
                 key, item = parse(line)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ManifestError(f"{path}:{lineno}: malformed {what}: {exc}") from exc
             if key in lines:
                 raise ManifestError(

@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _kernels
-from ._kernels import _group_sums, _heads, _int, _spans
+from ._kernels import _heads, _spans
 from .manifest import MAX_NGRAM, _count
 
 _BOUNDARY = ""
@@ -113,9 +113,9 @@ def ngram_cosines(a: Sequence[str], b: Sequence[str], n: int = 3) -> list[float]
     both shorter than n after padding (both empty, at n = 1) a `PairError`.
     A pair with one side empty scores 0.0, and one with equal count vectors
     1.0. The other pairs are scored in array passes over spans of pairs
-    within the array-pass memory budget: n-grams are keyed by
-    `_kernels.text_ngrams`, each pair's counts come from one sort, and the
-    dot product and the squared norms are summed as integers, so that the
+    within the array-pass memory budget: each text's n-gram counts are the
+    runs of the sorted keys of `_kernels.text_ngrams`, and the dot product
+    and the squared norms are summed as exact int64, so that the
     one float step, dot / (sqrt(na) * sqrt(nb)), rounds as it does on
     Python ints.
     """
@@ -144,29 +144,20 @@ def _cosines(texts: list[str], n: int) -> np.ndarray:
     text has an n-gram once padded."""
     m = len(texts)
     pad = _BOUNDARY * (n - 1)
-    grams, bound, counts = _kernels.text_ngrams([pad + text + pad for text in texts], n)
-    # (pair, n-gram, side) as (pair * bound + n-gram) * 2 + side, side 1 for b
-    keys = grams.astype(_int(bound * m))
-    del grams
-    keys *= 2
-    owner = np.repeat(np.arange(m, dtype=keys.dtype), counts)  # 2 * pair + side
-    keys += owner & 1
-    owner -= owner & 1
-    keys += owner * bound
-    del owner
-    keys.sort()
+    keys = _kernels.text_ngrams([pad + text + pad for text in texts], n)
     heads = np.flatnonzero(_heads(keys))
     count = np.diff(np.append(heads, len(keys)))
     runs = keys[heads]
     del keys, heads
-    pair = (runs >> 1) // bound
-    side = (runs & 1).astype(bool)
-    square = count * count
-    na = _group_sums(pair[~side], square[~side], m // 2)
-    nb = _group_sums(pair[side], square[side], m // 2)
-    # a's run of an n-gram, then b's run of it in the same pair
-    shared = np.flatnonzero((runs[1:] >> 1) == (runs[:-1] >> 1))
-    dot = _group_sums(pair[shared], count[shared] * count[shared + 1], m // 2)
+    owner = runs % m  # 2 * pair + side, side 1 for b
+    norms = np.zeros(m, np.int64)
+    np.add.at(norms, owner, count * count)
+    # a's run of an n-gram, then b's run of it: keys one apart, a's owner even
+    # (an odd owner m - 1 is one below the next n-gram's owner 0)
+    shared = np.flatnonzero((np.diff(runs) == 1) & (owner[:-1] % 2 == 0))
+    dot = np.zeros(m // 2, np.int64)
+    np.add.at(dot, owner[shared] >> 1, count[shared] * count[shared + 1])
+    na, nb = norms[0::2], norms[1::2]
     sims = dot / (np.sqrt(na) * np.sqrt(nb))
     sims[(dot == na) & (dot == nb)] = 1.0  # equal vectors: 1.0 exactly, not a rounding of it
     return sims

@@ -21,6 +21,7 @@ from capypipe.manifest import (
     MediaRef,
     PipelineConfig,
     Scenario,
+    dumps_record,
     read_manifest,
     write_manifest,
 )
@@ -1124,3 +1125,56 @@ def test_fuzzed_argv_ends_in_exit_code_not_traceback(argv_inputs, command, data)
     if code:
         assert len(err.getvalue().splitlines()) == 1
         assert err.getvalue().startswith("error: ")
+
+
+def _nested(depth):
+    return "[" * depth + "]" * depth
+
+
+def test_deep_nesting_ends_in_exit_code_not_traceback(tmp_path, capsys):
+    # around the recursion limit, json reads or writes a value nested this
+    # deep, or raises RecursionError, depending on the stack depth at the call
+    limit = sys.getrecursionlimit()
+    src, out, dropped = tmp_path / "in.jsonl", tmp_path / "kept.jsonl", tmp_path / "dropped.jsonl"
+    for depth in [*range(limit - 80, limit + 1), 100_000]:
+        line = f'{{"id":"r","scenario":"QA","language":"ENG","text":"x","deep":{_nested(depth)}}}'
+        src.write_text(line + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "filter", "--manifest", str(src), "--out", str(out),
+                           "--dropped", str(dropped))
+        if code == 0:
+            assert out.read_text(encoding="utf-8") == line + "\n", depth
+            assert dropped.read_text(encoding="utf-8") == "", depth
+            out.unlink()
+            dropped.unlink()
+        else:
+            assert code == 1, depth
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, (depth, err)
+            assert not out.exists() and not dropped.exists(), depth
+            assert list(tmp_path.iterdir()) == [src], depth  # no temp file left either
+        code, stdout, err = run(capsys, "budget", "--manifest", str(src))
+        assert code in (0, 1), depth
+        if code == 1:
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, (depth, err)
+        else:
+            assert stdout.startswith('{"id":"r",'), depth
+    assert run(capsys, "budget", "--manifest", str(src))[2].startswith(
+        f"error: {src}:1: malformed record: maximum recursion depth exceeded"
+    )
+
+
+def test_deeply_nested_config_is_invalid_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(_nested(100_000), encoding="utf-8")
+    code, _, err = run(capsys, "video-schedule", "--duration", "3", "--config", str(cfg))
+    assert code == 1
+    assert err.startswith("error: invalid config: maximum recursion depth exceeded")
+    assert len(err.splitlines()) == 1
+
+
+def test_a_record_too_deep_to_write_fails_naming_it():
+    deep: list = []
+    for _ in range(sys.getrecursionlimit()):
+        deep = [deep]
+    record = make_record(id="deep", scenario=Scenario.QA, extra={"deep": deep})
+    with pytest.raises(ValueError, match=r"^record 'deep' cannot be written: maximum recursion"):
+        dumps_record(record)

@@ -67,6 +67,37 @@ def test_edit_ops_accepts_strings_and_arrays():
     assert _kernels.edit_ops([], ["a", "b"]) == (0, 2, 0)
 
 
+# NUL, a lone surrogate and U+10FFFF, whose packed 2-gram keys squared pass
+# int64, so that keys are re-ranked densely from n = 3 on
+_NGRAM_ALPHABET = ["a", "b", " ", "\x00", "\ud800", "\U0010ffff", "中"]
+
+
+def _brute_ngram_keys(texts, n):
+    """(code points of the n-gram, text) for each n-gram occurrence, sorted."""
+    return sorted((tuple(map(ord, text[p : p + n])), i)
+                  for i, text in enumerate(texts) for p in range(len(text) - n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 100])
+# the int64 bound, and one so small that keys are re-ranked at every step,
+# the (n-gram, text) key's included
+@pytest.mark.parametrize("end", [2**63, 2**16])
+def test_text_ngrams_keys_match_brute_force(rng, monkeypatch, n, end):
+    monkeypatch.setattr(_kernels, "_INT64_END", end)
+    sizes = rng.integers(n, n + 12, size=30)
+    picks = [rng.integers(0, len(_NGRAM_ALPHABET), size=size) for size in sizes]
+    texts = ["".join(_NGRAM_ALPHABET[j] for j in pick) for pick in picks]
+    texts += texts[:3]  # equal texts share every n-gram
+    keys = _kernels.text_ngrams(texts, n)
+    expect = _brute_ngram_keys(texts, n)
+    grams, owners = np.divmod(keys, len(texts))
+    assert len(keys) == len(expect)
+    assert np.all(keys[1:] >= keys[:-1])
+    assert owners.tolist() == [i for _, i in expect]
+    # a new n-gram exactly where the brute force's n-gram changes
+    assert (np.diff(grams) > 0).tolist() == [x != y for (x, _), (y, _) in zip(expect, expect[1:])]
+
+
 def test_bilinear_upscale_hand_computed():
     src = np.array([[0, 100], [200, 40]], dtype=np.uint8)[:, :, None]
     out = _kernels.bilinear_resize_u8(src, 4, 4)
