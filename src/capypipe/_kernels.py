@@ -200,27 +200,26 @@ def edit_ops(ref: Sequence, hyp: Sequence) -> tuple[int, int, int]:
     """(substitutions, insertions, deletions) of a minimum-cost alignment.
 
     Ties go to match/substitute, then delete (ref only), then insert. Each
-    cell of the two-row DP carries (dist, s, i, d) from the predecessor it
-    chose, which totals the same as backtracing an op matrix.
+    cell of the two-row DP carries (dist, s) of the path it chose, as ties
+    compare distances only; i + d = dist - s and i - d = len(hyp) - len(ref).
     """
-    prev = [(j, 0, j, 0) for j in range(len(hyp) + 1)]
+    prev = [(j, 0) for j in range(len(hyp) + 1)]
     for row, r in enumerate(ref, start=1):
-        left = (row, 0, 0, row)
+        left = (row, 0)
         cur = [left]
         for j, h in enumerate(hyp):
             diag = prev[j]
-            up = prev[j + 1]
             same = r == h
             sub = diag[0] if same else diag[0] + 1
-            dele = up[0] + 1
+            dele = prev[j + 1][0] + 1
             ins = left[0] + 1
             if sub <= dele and sub <= ins:
-                left = diag if same else (sub, diag[1] + 1, diag[2], diag[3])
+                left = diag if same else (sub, diag[1] + 1)
             elif dele <= ins:
-                left = (dele, up[1], up[2], up[3] + 1)
+                left = (dele, prev[j + 1][1])
             else:
-                left = (ins, left[1], left[2] + 1, left[3])
+                left = (ins, left[1])
             cur.append(left)
         prev = cur
-    _, s, ins_n, dele_n = prev[-1]
-    return s, ins_n, dele_n
+    dist, s = prev[-1]
+    return s, (dist - s + len(hyp) - len(ref)) // 2, (dist - s + len(ref) - len(hyp)) // 2

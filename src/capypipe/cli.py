@@ -33,7 +33,7 @@ from .manifest import (
     require_distinct,
     require_valid,
     write_lines,
-    write_manifest,
+    write_manifest,  # noqa: F401  not called here, but perfbench hooks this name
 )
 from .metrics import PairError, bleu, error_rate, ngram_cosines
 from .tiler import plan_tiles
@@ -76,6 +76,26 @@ def _writing():
         yield
     except OSError as exc:
         raise CliError(f"cannot write {exc.filename}: {exc.strerror}", EXIT_IO) from exc
+
+
+@contextlib.contextmanager
+def _directory(path: str):
+    """Create the directory `path` as `os.makedirs` does. If the block fails,
+    remove each directory of the normalized `path` that was missing before,
+    deepest first, and so none that was there before the run."""
+    missing = []
+    head = os.path.normpath(path)
+    while head and not os.path.lexists(head):
+        missing.append(head)
+        head = os.path.dirname(head)
+    try:
+        os.makedirs(path, exist_ok=True)
+        yield
+    except BaseException:
+        for made in missing:
+            with contextlib.suppress(OSError):
+                os.rmdir(made)
+        raise
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -180,23 +200,21 @@ def cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> None:
     if not args.out:
         raise CliError("filter requires --out for the kept manifest", EXIT_INVALID)
     records = read_manifest(args.manifest)
-    # every input record, whatever its verdict would be, is checked before curation
+    # every input record is checked, once: curation adds only verdicts `validate` accepts
     require_valid(records)
     result = pipeline_mod.curate(records, config)
-    also = {}
+    outputs = [(args.out, map(dumps_record, result.kept))]
     if args.dropped:
-        also[args.dropped] = [dumps_record(rec) for rec in result.dropped]
+        outputs.append((args.dropped, [dumps_record(rec) for rec in result.dropped]))
     if args.report:
         for rep in result.reports:
             text = json.dumps(rep.to_json(), ensure_ascii=False, indent=2, sort_keys=True)
-            also[os.path.join(args.report, f"{rep.stage}.json")] = [text]
-    # a refused run creates nothing, not even the report directory
-    require_distinct([args.out, *also])
-    # every output is written, or none is replaced
-    with _writing():
-        if args.report:
-            os.makedirs(args.report, exist_ok=True)
-        write_manifest(result.kept, args.out, also)
+            outputs.append((os.path.join(args.report, f"{rep.stage}.json"), [text]))
+    # a refused run creates nothing; a list, since a dict would fold two equal paths
+    require_distinct([path for path, _ in outputs])
+    # every output is written, or none is replaced and no new directory stays
+    with _writing(), _directory(args.report or os.curdir):
+        write_lines(dict(outputs))
     for rep in result.reports:
         print(
             f"{rep.stage}: {rep.input_count} in, {rep.kept} kept, {rep.dropped} dropped",

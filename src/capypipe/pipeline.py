@@ -357,10 +357,9 @@ def _candidates(index, tokens, start, probed, low, ell):
             yield np.divmod(runs[keep], m)
 
 
-def _cluster_verdicts(records, config, norm):
-    """The near-duplicate verdicts, and the cluster assignment of each record."""
-    texts = [norm(r.text) for r in records]
-    parent = list(range(len(records)))
+def _cluster_roots(texts: list[str], config: PipelineConfig) -> list[int]:
+    """Each text's cluster root by union-find: the index of its cluster's first text."""
+    parent = list(range(len(texts)))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -372,15 +371,13 @@ def _cluster_verdicts(records, config, norm):
         ri, rj = find(i), find(j)
         # the later root goes under the earlier: a cluster's first record represents it
         parent[max(ri, rj)] = min(ri, rj)
-    cluster_ids: dict[int, int] = {}
-    assignments = []
-    verdicts = []
-    for i, rec in enumerate(records):
-        root = find(i)
-        cluster_id = cluster_ids.setdefault(root, len(cluster_ids))
-        assignments.append(ClusterAssignment(rec.id, cluster_id, root == i))
-        verdicts.append(None if root == i else _NEAR_DUPLICATE)
-    return verdicts, assignments
+    return [find(i) for i in range(len(texts))]
+
+
+def _cluster_verdicts(records, config, norm):
+    """The near-duplicate verdicts: each cluster keeps its first record."""
+    roots = _cluster_roots([norm(r.text) for r in records], config)
+    return [None if root == i else _NEAR_DUPLICATE for i, root in enumerate(roots)]
 
 
 def cluster_prune(
@@ -390,7 +387,11 @@ def cluster_prune(
 ) -> tuple[list[SampleRecord], list[ClusterAssignment], FilterReport]:
     """Cluster near-duplicate texts and keep one representative per cluster."""
     config = PipelineConfig(cluster_jaccard_threshold=jaccard_threshold, shingle_n=shingle_n)
-    verdicts, assignments = _cluster_verdicts(records, config, normalize)
+    roots = _cluster_roots([normalize(r.text) for r in records], config)
+    ids = {root: k for k, root in enumerate(dict.fromkeys(roots))}
+    assignments = [ClusterAssignment(rec.id, ids[root], root == i)
+                   for i, (rec, root) in enumerate(zip(records, roots))]
+    verdicts = [None if a.representative else _NEAR_DUPLICATE for a in assignments]
     result = _run(records, [("near-duplicate-cluster", lambda *_: verdicts)], config)
     return result.kept, assignments, result.reports[0]
 
@@ -480,7 +481,7 @@ def curate(records: list[SampleRecord], config: PipelineConfig | None = None) ->
     records = [rec if rec.verdict is None else rec.with_verdict(None) for rec in records]
     return _run(records, [
         ("dedup", _dedup_verdicts),
-        ("near-duplicate-cluster", lambda *args: _cluster_verdicts(*args)[0]),
+        ("near-duplicate-cluster", _cluster_verdicts),
         ("consistency-filter", _consistency_verdicts),
     ], config)
 

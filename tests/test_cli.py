@@ -498,7 +498,64 @@ def test_filter_out_into_missing_directory_is_io_error(tmp_path, capsys, monkeyp
     )
     assert (code, stdout) == (2, "")
     assert err == "error: cannot write nodir/kept.jsonl: No such file or directory\n"
-    assert sorted(os.listdir(tmp_path)) == ["in.jsonl", "reports"]
+    assert sorted(os.listdir(tmp_path)) == ["in.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "existing, report, left",
+    [((), "runs/reports", []),
+     ((), "reports/", []),
+     (("runs",), "runs/reports", ["runs"]),
+     (("reports",), "reports", ["reports"]),
+     (("runs", "runs/reports"), "runs/reports/x/y", ["runs", "runs/reports"])],
+    ids=["nested", "trailing-slash", "parent-existed", "report-existed", "deep-under-existing"],
+)
+def test_failed_filter_removes_only_the_directories_it_made(
+    tmp_path, capsys, monkeypatch, existing, report, left
+):
+    monkeypatch.chdir(tmp_path)
+    write_manifest([make_record(id="a", text="some text here")], "in.jsonl")
+    for directory in existing:
+        os.mkdir(directory)
+    code, stdout, err = run(
+        capsys, "filter", "--manifest", "in.jsonl", "--out", "nodir/kept.jsonl",
+        "--report", report,
+    )
+    assert (code, stdout) == (2, "")
+    assert err == "error: cannot write nodir/kept.jsonl: No such file or directory\n"
+    dirs = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_dir())
+    assert dirs == left
+    assert [p.name for p in tmp_path.rglob("*") if not p.is_dir()] == ["in.jsonl"]
+
+
+def test_a_record_that_cannot_be_encoded_leaves_no_report_directory(
+    tmp_path, capsys, monkeypatch
+):
+    # the kept records are encoded as they are written, once the directory exists
+    def refuse(rec):
+        raise ValueError(f"record {rec.id!r} cannot be written: maximum recursion depth exceeded")
+
+    monkeypatch.chdir(tmp_path)
+    write_manifest([make_record(id="a", scenario=Scenario.QA, text="kept")], "in.jsonl")
+    monkeypatch.setattr(cli, "dumps_record", refuse)
+    code, stdout, err = run(
+        capsys, "filter", "--manifest", "in.jsonl", "--out", "kept.jsonl", "--report", "runs/rep"
+    )
+    assert (code, stdout) == (1, "")
+    assert err == "error: record 'a' cannot be written: maximum recursion depth exceeded\n"
+    assert os.listdir(tmp_path) == ["in.jsonl"]
+
+
+def test_filter_refuses_dropped_naming_a_report_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_manifest([make_record(id="a", text="some text here")], "in.jsonl")
+    code, stdout, err = run(
+        capsys, "filter", "--manifest", "in.jsonl", "--out", "kept.jsonl",
+        "--dropped", "reports/dedup.json", "--report", "reports",
+    )
+    assert (code, stdout) == (1, "")
+    assert err == "error: outputs reports/dedup.json and reports/dedup.json name one file\n"
+    assert os.listdir(tmp_path) == ["in.jsonl"]
 
 
 def test_filter_end_to_end(tmp_path, capsys):
@@ -1136,21 +1193,23 @@ def test_deep_nesting_ends_in_exit_code_not_traceback(tmp_path, capsys):
     # deep, or raises RecursionError, depending on the stack depth at the call
     limit = sys.getrecursionlimit()
     src, out, dropped = tmp_path / "in.jsonl", tmp_path / "kept.jsonl", tmp_path / "dropped.jsonl"
+    report = tmp_path / "runs" / "rep"
     for depth in [*range(limit - 80, limit + 1), 100_000]:
         line = f'{{"id":"r","scenario":"QA","language":"ENG","text":"x","deep":{_nested(depth)}}}'
         src.write_text(line + "\n", encoding="utf-8")
         code, _, err = run(capsys, "filter", "--manifest", str(src), "--out", str(out),
-                           "--dropped", str(dropped))
+                           "--dropped", str(dropped), "--report", str(report))
         if code == 0:
             assert out.read_text(encoding="utf-8") == line + "\n", depth
             assert dropped.read_text(encoding="utf-8") == "", depth
-            out.unlink()
-            dropped.unlink()
+            for path in [out, dropped, *report.iterdir(), report, report.parent]:
+                path.unlink() if path.is_file() else path.rmdir()
         else:
             assert code == 1, depth
             assert err.startswith("error: ") and len(err.splitlines()) == 1, (depth, err)
             assert not out.exists() and not dropped.exists(), depth
-            assert list(tmp_path.iterdir()) == [src], depth  # no temp file left either
+            # no temp file and no report directory left either
+            assert list(tmp_path.iterdir()) == [src], depth
         code, stdout, err = run(capsys, "budget", "--manifest", str(src))
         assert code in (0, 1), depth
         if code == 1:

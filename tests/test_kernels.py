@@ -61,6 +61,39 @@ def test_edit_ops_matches_backtrace_on_strings(rng):
         assert _kernels.edit_ops(ref, hyp) == _edit_ops_backtrace(ref, hyp), (ref, hyp)
 
 
+def _edit_ops_four_values(ref, hyp):
+    """The two-row DP whose every cell carries (dist, s, i, d) of the path it
+    chose, with `edit_ops`' tie order."""
+    prev = [(j, 0, j, 0) for j in range(len(hyp) + 1)]
+    for row, r in enumerate(ref, start=1):
+        left = (row, 0, 0, row)
+        cur = [left]
+        for j, h in enumerate(hyp):
+            diag, up = prev[j], prev[j + 1]
+            same = r == h
+            sub = diag[0] if same else diag[0] + 1
+            dele, ins = up[0] + 1, left[0] + 1
+            if sub <= dele and sub <= ins:
+                left = diag if same else (sub, diag[1] + 1, diag[2], diag[3])
+            elif dele <= ins:
+                left = (dele, up[1], up[2], up[3] + 1)
+            else:
+                left = (ins, left[1], left[2] + 1, left[3])
+            cur.append(left)
+        prev = cur
+    return prev[-1][1:]
+
+
+@pytest.mark.parametrize("alphabet", [2, 3, 8, 26])
+def test_edit_ops_matches_the_four_value_dp(alphabet):
+    # lengths past the recursive oracle's 6, over alphabets from dense to sparse matches
+    rng = np.random.default_rng([21, alphabet])
+    for _ in range(300):
+        ref = rng.integers(0, alphabet, size=rng.integers(0, 41)).tolist()
+        hyp = rng.integers(0, alphabet, size=rng.integers(0, 41)).tolist()
+        assert _kernels.edit_ops(ref, hyp) == _edit_ops_four_values(ref, hyp), (ref, hyp)
+
+
 def test_edit_ops_accepts_strings_and_arrays():
     assert _kernels.edit_ops("kitten", "sitting") == (2, 1, 0)
     assert _kernels.edit_ops(np.array([1, 2, 3]), np.array([1, 3])) == (0, 0, 1)
