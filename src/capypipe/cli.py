@@ -3,6 +3,9 @@
 JSON results go to stdout (or --out); diagnostics go to stderr. Each
 subcommand but `filter` returns its output lines, and `dispatch` alone writes
 them; `filter` writes its kept, dropped and report files itself, together.
+Every output file goes through `manifest.write_lines`, which refuses two that
+name one file; `filter` makes its --report directory first, so a fault there is
+reported first, and a failed run removes each directory it made.
 Exit codes: 0 success, 1 invalid input, 2 I/O failure; `dispatch` alone maps a
 failure to its code and one `error:` line. Flag values override the config
 file (--config or $CAPYPIPE_CONFIG), which overrides built-in defaults.
@@ -30,7 +33,6 @@ from .manifest import (
     dumps_record,
     read_keyed,
     read_manifest,
-    require_distinct,
     require_valid,
     write_lines,
     write_manifest,  # noqa: F401  not called here, but perfbench hooks this name
@@ -71,7 +73,7 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
 @contextlib.contextmanager
 def _writing():
     """Turn an `OSError` that names the path it failed on, such as one from
-    `write_lines` or `os.makedirs`, into the `cannot write` failure."""
+    `write_lines` or `os.mkdir`, into the `cannot write` failure."""
     try:
         yield
     except OSError as exc:
@@ -80,21 +82,28 @@ def _writing():
 
 @contextlib.contextmanager
 def _directory(path: str):
-    """Create the directory `path` as `os.makedirs` does. If the block fails,
-    remove each directory of the normalized `path` that was missing before,
-    deepest first, and so none that was there before the run."""
-    missing = []
-    head = os.path.normpath(path)
-    while head and not os.path.lexists(head):
-        missing.append(head)
-        head = os.path.dirname(head)
+    """Make the directory `path` as `os.makedirs` does, errors included: one
+    `os.mkdir` for it and for each missing level above it, as the path is given.
+    If the block fails, remove exactly those made here, deepest first (`x` too,
+    for `x/../rep`)."""
+    levels = [path]
+    while (head := os.path.dirname(levels[-1].rstrip(os.sep))) and not os.path.exists(head):
+        levels.append(head)
+    made = []
     try:
-        os.makedirs(path, exist_ok=True)
+        for level in reversed(levels):
+            try:
+                os.mkdir(level)
+                made.append(level)
+            except FileExistsError:
+                # as in `os.makedirs`, only the last level must end up a directory
+                if level == path and not os.path.isdir(path):
+                    raise
         yield
     except BaseException:
-        for made in missing:
+        for level in reversed(made):
             with contextlib.suppress(OSError):
-                os.rmdir(made)
+                os.rmdir(level)
         raise
 
 
@@ -111,7 +120,7 @@ def _emit(lines: list[str], out: str | None) -> None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     with _writing():
-        write_lines({out: lines})
+        write_lines([(out, lines)])
 
 
 _dumps = _COMPACT_JSON.encode
@@ -205,16 +214,14 @@ def cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> None:
     result = pipeline_mod.curate(records, config)
     outputs = [(args.out, map(dumps_record, result.kept))]
     if args.dropped:
-        outputs.append((args.dropped, [dumps_record(rec) for rec in result.dropped]))
+        outputs.append((args.dropped, map(dumps_record, result.dropped)))
     if args.report:
         for rep in result.reports:
             text = json.dumps(rep.to_json(), ensure_ascii=False, indent=2, sort_keys=True)
             outputs.append((os.path.join(args.report, f"{rep.stage}.json"), [text]))
-    # a refused run creates nothing; a list, since a dict would fold two equal paths
-    require_distinct([path for path, _ in outputs])
     # every output is written, or none is replaced and no new directory stays
     with _writing(), _directory(args.report or os.curdir):
-        write_lines(dict(outputs))
+        write_lines(outputs)
     for rep in result.reports:
         print(
             f"{rep.stage}: {rep.input_count} in, {rep.kept} kept, {rep.dropped} dropped",

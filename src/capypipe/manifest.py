@@ -363,17 +363,22 @@ def read_manifest(path: str | Path) -> list[SampleRecord]:
     return list(read_keyed(path, _keyed_record, "record").values())
 
 
-def write_lines(files: Mapping[str | Path, Iterable[str]]) -> None:
-    """Write each path's lines, LF-terminated, as UTF-8, so that the files end
-    whole or untouched together: every file's lines go to a temp file beside
-    it, and only when all are written do the temp files replace their targets.
-    An existing non-regular file (a device, a pipe) is written in place, since
-    replacing it would not reach the reader behind it. An `OSError` names the
-    target path, not its temp file."""
+def write_lines(files: list[tuple[str | Path, Iterable[str]]]) -> None:
+    """Write each (path, lines) pair's lines, LF-terminated, as UTF-8, so that
+    the files end whole or untouched together: every file's lines go to a temp
+    file beside it, and only when all are written do the temp files replace
+    their targets. Two paths naming one file (by `os.path.realpath`) are
+    refused before any is written, by a `ValueError` naming both as given, the
+    earlier first. An existing non-regular file (a device, a pipe) is written
+    in place, since replacing it would not reach the reader behind it. An
+    `OSError` names the target path, not its temp file."""
+    first: dict[str, int] = {}
+    for i, (path, _) in enumerate(files):
+        if (j := first.setdefault(os.path.realpath(path), i)) != i:
+            raise ValueError(f"outputs {files[j][0]} and {path} name one file")
     renames: list[tuple[str, str | Path]] = []
-    path: str | Path = ""
     try:
-        for i, (path, lines) in enumerate(files.items()):
+        for i, (path, lines) in enumerate(files):
             if os.path.exists(path) and not os.path.isfile(path):
                 target = path
             else:
@@ -394,17 +399,6 @@ def write_lines(files: Mapping[str | Path, Iterable[str]]) -> None:
         raise
 
 
-def require_distinct(targets: Iterable[str | Path]) -> None:
-    """Refuse output paths of which two name one file, since one file would
-    silently replace the other: a `ValueError` naming both."""
-    targets = list(targets)
-    real = [os.path.realpath(target) for target in targets]
-    for i, target in enumerate(targets):
-        if real[i] in real[:i]:
-            first = targets[real.index(real[i])]
-            raise ValueError(f"outputs {first} and {target} name one file")
-
-
 def write_manifest(
     records: list[SampleRecord],
     path: str | Path,
@@ -412,8 +406,6 @@ def write_manifest(
 ) -> None:
     """Write records as UTF-8 JSONL, LF-terminated, validating invariants first;
     the file, and each file of `also` with its lines, ends whole or untouched
-    together (`write_lines`). Two paths that name one file are refused before
-    anything is written (`require_distinct`)."""
-    require_distinct([path, *(also or {})])
+    together, and two of them that name one file are refused (`write_lines`)."""
     require_valid(records)
-    write_lines({path: map(dumps_record, records), **(also or {})})
+    write_lines([(path, map(dumps_record, records)), *(also or {}).items()])

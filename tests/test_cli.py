@@ -507,8 +507,11 @@ def test_filter_out_into_missing_directory_is_io_error(tmp_path, capsys, monkeyp
      ((), "reports/", []),
      (("runs",), "runs/reports", ["runs"]),
      (("reports",), "reports", ["reports"]),
-     (("runs", "runs/reports"), "runs/reports/x/y", ["runs", "runs/reports"])],
-    ids=["nested", "trailing-slash", "parent-existed", "report-existed", "deep-under-existing"],
+     (("runs", "runs/reports"), "runs/reports/x/y", ["runs", "runs/reports"]),
+     ((), "x/../rep", []),
+     (("runs",), "{tmp}/runs/reports/x", ["runs"])],
+    ids=["nested", "trailing-slash", "parent-existed", "report-existed", "deep-under-existing",
+         "through-dot-dot", "absolute"],
 )
 def test_failed_filter_removes_only_the_directories_it_made(
     tmp_path, capsys, monkeypatch, existing, report, left
@@ -519,7 +522,7 @@ def test_failed_filter_removes_only_the_directories_it_made(
         os.mkdir(directory)
     code, stdout, err = run(
         capsys, "filter", "--manifest", "in.jsonl", "--out", "nodir/kept.jsonl",
-        "--report", report,
+        "--report", report.format(tmp=tmp_path),
     )
     assert (code, stdout) == (2, "")
     assert err == "error: cannot write nodir/kept.jsonl: No such file or directory\n"
@@ -556,6 +559,65 @@ def test_filter_refuses_dropped_naming_a_report_file(tmp_path, capsys, monkeypat
     assert (code, stdout) == (1, "")
     assert err == "error: outputs reports/dedup.json and reports/dedup.json name one file\n"
     assert os.listdir(tmp_path) == ["in.jsonl"]
+
+
+def test_a_dropped_record_that_cannot_be_encoded_leaves_nothing(tmp_path, capsys, monkeypatch):
+    # dropped records are encoded as they are written, as the kept ones are
+    def refuse_b(rec):
+        if rec.id == "b":
+            raise ValueError("record 'b' cannot be written: maximum recursion depth exceeded")
+        return dumps_record(rec)
+
+    monkeypatch.chdir(tmp_path)
+    write_manifest(
+        [make_record(id="a", text="same text"), make_record(id="b", text="same text")], "in.jsonl"
+    )
+    monkeypatch.setattr(cli, "dumps_record", refuse_b)
+    code, stdout, err = run(
+        capsys, "filter", "--manifest", "in.jsonl", "--out", "kept.jsonl",
+        "--dropped", "dropped.jsonl", "--report", "runs/rep",
+    )
+    assert (code, stdout) == (1, "")
+    assert err == "error: record 'b' cannot be written: maximum recursion depth exceeded\n"
+    assert os.listdir(tmp_path) == ["in.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "make, report, message",
+    [(lambda: Path("rep").write_text(""), "rep", "rep: File exists"),
+     (lambda: os.symlink("nowhere", "rep"), "rep", "rep: File exists"),
+     (lambda: Path("x").write_text(""), "x/rep", "x/rep: Not a directory"),
+     (lambda: Path("x").write_text(""), "x/rep/", "x/rep/: Not a directory"),
+     (lambda: Path("x").write_text(""), "x/../rep", "x/..: Not a directory")],
+    ids=["report-is-a-file", "report-is-a-dangling-link", "file-above-report",
+         "file-above-report-with-trailing-slash", "file-before-dot-dot"],
+)
+def test_filter_report_directory_fails_as_makedirs_does(
+    tmp_path, capsys, monkeypatch, make, report, message
+):
+    monkeypatch.chdir(tmp_path)
+    write_manifest([make_record(id="a", text="some text here")], "in.jsonl")
+    make()
+    before = sorted(os.listdir(tmp_path))
+    code, stdout, err = run(
+        capsys, "filter", "--manifest", "in.jsonl", "--out", "kept.jsonl", "--report", report
+    )
+    assert (code, stdout, err) == (2, "", f"error: cannot write {message}\n")
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_filter_reports_a_directory_fault_before_two_outputs_naming_one_file(
+    tmp_path, capsys, monkeypatch
+):
+    # the report directory is made before `write_lines` compares the outputs
+    monkeypatch.chdir(tmp_path)
+    write_manifest([make_record(id="a", text="some text here")], "in.jsonl")
+    Path("f").write_text("")
+    code, stdout, err = run(
+        capsys, "filter", "--manifest", "in.jsonl", "--out", "f/r/dedup.json", "--report", "f/r"
+    )
+    assert (code, stdout, err) == (2, "", "error: cannot write f/r: Not a directory\n")
+    assert sorted(os.listdir(tmp_path)) == ["f", "in.jsonl"]
 
 
 def test_filter_end_to_end(tmp_path, capsys):

@@ -127,12 +127,20 @@ def test_write_lines_writes_a_fifo_in_place(tmp_path):
     got = []
     reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
     reader.start()
-    write_lines({fifo: ["a", "b"]})
+    write_lines([(fifo, ["a", "b"])])
     reader.join(timeout=10)
     assert not reader.is_alive()
     assert got == [b"a\nb\n"]
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert os.listdir(tmp_path) == ["fifo"]
+
+
+def test_write_lines_refuses_two_paths_naming_one_file(tmp_path, monkeypatch):
+    # a mapping of outputs would fold these two keys and keep only the second
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match=r"^outputs a\.txt and \./a\.txt name one file$"):
+        write_lines([("a.txt", ["1"]), ("./a.txt", ["2"])])
+    assert os.listdir(tmp_path) == []
 
 
 def test_unknown_fields_round_trip(tmp_path):
