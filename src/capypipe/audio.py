@@ -79,15 +79,6 @@ def decode_wav(path: str | Path) -> tuple[np.ndarray, int]:
     return pcm, rate
 
 
-def write_wav(samples: np.ndarray, rate: int, path: str | Path) -> None:
-    pcm = np.clip(np.round(samples * 32768.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as wf:
-        wf.setnchannels(1)
-        wf.setsampwidth(2)
-        wf.setframerate(rate)
-        wf.writeframes(pcm.tobytes())
-
-
 def resample_16k(samples: np.ndarray, rate: int) -> np.ndarray:
     """Band-limited resample to 16 kHz with a Kaiser-windowed sinc kernel."""
     if not 8000 <= rate <= 192000:

@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable
 
 # the padded n-grams of a text hold about n * (len + n) characters
 MAX_NGRAM = 100
@@ -57,8 +57,9 @@ def _object(what: str, val: Any) -> dict[str, Any]:
 
 # a JSON escape of a UTF-16 surrogate, \ud800-\udfff, paired or not
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
-# the encoder of every JSON line capypipe writes, built once rather than per line
-_COMPACT_JSON = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+# the encoder of every JSON line capypipe writes, built once rather than per line;
+# it refuses NaN and Infinity, which JSON has not, with a `ValueError`
+_COMPACT_JSON = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False)
 
 
 def _str(key: str, val: Any, optional: bool = False) -> str | None:
@@ -77,8 +78,8 @@ def _number(key: str, val: Any) -> int | float | None:
         return val
     if not _is_number(val):
         raise ValueError(f"{key} must be a number, got {type(val).__name__}")
-    # Python's json reads NaN and Infinity, which JSON has not; nor does any
-    # measure here exceed the float range (a huge int would overflow later)
+    # NaN or Infinity from a library caller (the reader refuses them), or an
+    # int past the float range, which would overflow later
     if not -sys.float_info.max <= val <= sys.float_info.max:
         raise ValueError(f"{key} must be a finite number, got {val}")
     return val
@@ -312,10 +313,11 @@ def require_valid(records: Iterable[SampleRecord]) -> None:
 
 def dumps_record(record: SampleRecord) -> str:
     """The record as one compact JSON line; a `ValueError` naming the record
-    where a value nests past the interpreter's recursion limit."""
+    where a value nests past the interpreter's recursion limit or is not
+    finite (NaN, Infinity)."""
     try:
         return _COMPACT_JSON.encode(record.to_json())
-    except RecursionError as exc:
+    except (RecursionError, ValueError) as exc:
         raise ValueError(f"record {record.id!r} cannot be written: {exc}") from exc
 
 
@@ -345,8 +347,22 @@ def read_keyed(path: str | Path, parse: Callable[[str], tuple[str, Any]], what: 
     return items
 
 
+def _finite(literal: str) -> float:
+    """A JSON float literal as a float; NaN, ±Infinity and 1e400 are refused."""
+    value = float(literal)
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ValueError(f"{literal} is not a finite JSON number")
+    return value
+
+
+# the decoder of every record line: strict JSON numbers in every field
+_STRICT_JSON = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)
+
+
 def _keyed_record(line: str) -> tuple[str, SampleRecord]:
-    obj = json.loads(line)
+    if line.startswith("\ufeff"):  # as `json.loads` reports it; `decode` would not
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+    obj = _STRICT_JSON.decode(line)
     if _SURROGATE_ESCAPE.search(line):
         # only a \ud800-\udfff escape can put a lone surrogate in UTF-8 text,
         # and one would make every later write fail
@@ -399,13 +415,9 @@ def write_lines(files: list[tuple[str | Path, Iterable[str]]]) -> None:
         raise
 
 
-def write_manifest(
-    records: list[SampleRecord],
-    path: str | Path,
-    also: Mapping[str | Path, Iterable[str]] | None = None,
-) -> None:
+def write_manifest(records: list[SampleRecord], path: str | Path) -> None:
     """Write records as UTF-8 JSONL, LF-terminated, validating invariants first;
-    the file, and each file of `also` with its lines, ends whole or untouched
-    together, and two of them that name one file are refused (`write_lines`)."""
+    the file ends whole or untouched (`write_lines`), so a record that
+    `dumps_record` cannot write leaves it as it was."""
     require_valid(records)
-    write_lines([(path, map(dumps_record, records)), *(also or {}).items()])
+    write_lines([(path, map(dumps_record, records))])

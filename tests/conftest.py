@@ -37,11 +37,17 @@ def make_record(
     )
 
 
-def write_pcm16_wav(path, rate, n_samples=160, channels=1, bits=16):
-    """A silent PCM WAV, 16-bit unless `bits` says otherwise, packed by hand,
-    since `wave` refuses to write some header values (a rate of 0)."""
+def write_pcm16_wav(path, rate, n_samples=160, channels=1, bits=16, samples=None):
+    """A PCM WAV, packed by hand, since `wave` refuses to write some header
+    values (a rate of 0): `samples`, floats in [-1, 1] rounded to 16-bit PCM
+    and interleaved when `channels` > 1, or else `n_samples` frames of
+    silence, 16-bit unless `bits` says otherwise."""
     block = channels * (bits // 8)
-    data = bytes(block * n_samples)
+    if samples is None:
+        data = bytes(block * n_samples)
+    else:
+        pcm = np.clip(np.round(np.asarray(samples) * 32768.0), -32768, 32767)
+        data = pcm.astype("<i2").tobytes()
     # the byte rate is informational; wrapped so that any rate packs
     fmt = struct.pack("<HHIIHH", 1, channels, rate, (block * rate) % 2**32, block, bits)
     path.write_bytes(

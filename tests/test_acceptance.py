@@ -28,7 +28,7 @@ from capypipe.tiler import EmbeddingGrid, plan_tiles
 from capypipe.tokens import compress_tokens
 
 import conftest
-from conftest import make_record
+from conftest import make_record, write_pcm16_wav
 
 
 def criterion(num, name):
@@ -52,7 +52,7 @@ def criterion(num, name):
 def _sine_wav(path, freq, rate, seconds):
     t = np.arange(round(rate * seconds)) / rate
     samples = 0.5 * np.sin(2 * np.pi * freq * t)
-    audio.write_wav(samples.astype(np.float64), rate, path)
+    write_pcm16_wav(path, rate, samples=samples)
     return samples
 
 

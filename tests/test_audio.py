@@ -14,7 +14,6 @@ from capypipe.audio import (
     mel_to_hz,
     profile,
     resample_16k,
-    write_wav,
 )
 from capypipe.tokens import audio_budget
 
@@ -29,54 +28,35 @@ def sine(freq, duration, rate, amp=0.5):
 class TestDecodeWav:
     def test_silence(self, tmp_path):
         p = tmp_path / "s.wav"
-        write_wav(np.zeros(16000), 16000, p)
+        write_pcm16_wav(p, 16000, n_samples=16000)
         samples, rate = decode_wav(p)
         assert rate == 16000
         assert len(samples) == 16000
         assert np.all(samples == 0.0)
 
     def test_full_scale_square_wave(self, tmp_path):
-        import wave
-
-        pcm = np.tile(np.array([32767, -32768], dtype="<i2"), 100)
         p = tmp_path / "sq.wav"
-        with wave.open(str(p), "wb") as wf:
-            wf.setnchannels(1)
-            wf.setsampwidth(2)
-            wf.setframerate(16000)
-            wf.writeframes(pcm.tobytes())
+        write_pcm16_wav(p, 16000, samples=np.tile([32767 / 32768, -1.0], 100))
         samples, _ = decode_wav(p)
         assert set(np.unique(samples)) == {-1.0, 32767 / 32768}
 
     def test_stereo_downmix_cancels(self, tmp_path):
-        import wave
-
         x = (np.sin(np.linspace(0, 10, 500)) * 10000).astype("<i2")
         interleaved = np.empty(1000, dtype="<i2")
         interleaved[0::2] = x
         interleaved[1::2] = -x
         p = tmp_path / "st.wav"
-        with wave.open(str(p), "wb") as wf:
-            wf.setnchannels(2)
-            wf.setsampwidth(2)
-            wf.setframerate(16000)
-            wf.writeframes(interleaved.tobytes())
+        write_pcm16_wav(p, 16000, channels=2, samples=interleaved / 32768)
         samples, _ = decode_wav(p)
         assert np.all(samples == 0.0)
 
     @pytest.mark.parametrize("channels", [1, 2])
     def test_matches_float_downmix(self, tmp_path, rng, channels):
-        import wave
-
         pcm = rng.integers(-32768, 32768, size=(1000, channels)).astype("<i2")
         pcm[:2] = [[-32768] * channels, [32767] * channels]
         pcm[2] = [-32768, 32767][:channels]
         p = tmp_path / "x.wav"
-        with wave.open(str(p), "wb") as wf:
-            wf.setnchannels(channels)
-            wf.setsampwidth(2)
-            wf.setframerate(44100)
-            wf.writeframes(pcm.tobytes())
+        write_pcm16_wav(p, 44100, channels=channels, samples=pcm.ravel() / 32768)
         samples, _ = decode_wav(p)
         ref = pcm.astype(np.float64).mean(axis=1) if channels == 2 else pcm[:, 0].astype(np.float64)
         assert samples.dtype == np.float64
@@ -84,15 +64,10 @@ class TestDecodeWav:
 
     def test_stereo_holds_no_interleaved_float_copy(self, tmp_path):
         import tracemalloc
-        import wave
 
         n = 200_000
         p = tmp_path / "st.wav"
-        with wave.open(str(p), "wb") as wf:
-            wf.setnchannels(2)
-            wf.setsampwidth(2)
-            wf.setframerate(44100)
-            wf.writeframes(bytes(4 * n))
+        write_pcm16_wav(p, 44100, n_samples=n, channels=2)
         tracemalloc.start()
         try:
             decode_wav(p)
@@ -104,14 +79,8 @@ class TestDecodeWav:
         assert peak < 4 * n + 2 * 8 * n, peak
 
     def test_rejects_wrong_bit_depth(self, tmp_path):
-        import wave
-
         p = tmp_path / "w8.wav"
-        with wave.open(str(p), "wb") as wf:
-            wf.setnchannels(1)
-            wf.setsampwidth(1)
-            wf.setframerate(16000)
-            wf.writeframes(b"\x80" * 100)
+        write_pcm16_wav(p, 16000, n_samples=100, bits=8)
         with pytest.raises(AudioFormatError, match="16-bit"):
             decode_wav(p)
 
@@ -230,7 +199,7 @@ class TestLogMel:
 class TestProfile:
     def test_one_second_16k(self, tmp_path):
         p = tmp_path / "a.wav"
-        write_wav(sine(440, 1.0, 16000), 16000, p)
+        write_pcm16_wav(p, 16000, samples=sine(440, 1.0, 16000))
         prof = profile(p)
         assert prof.duration == 1.0
         assert prof.n_frames == 100
@@ -238,12 +207,12 @@ class TestProfile:
 
     def test_tenth_second(self, tmp_path):
         p = tmp_path / "b.wav"
-        write_wav(np.zeros(1600), 16000, p)
+        write_pcm16_wav(p, 16000, n_samples=1600)
         assert profile(p).n_tokens == 2
 
     def test_48k_two_seconds(self, tmp_path):
         p = tmp_path / "c.wav"
-        write_wav(sine(440, 2.0, 48000), 48000, p)
+        write_pcm16_wav(p, 48000, samples=sine(440, 2.0, 48000))
         prof = profile(p)
         assert abs(prof.resampled_len - 32000) <= 1
         assert prof.source_rate == 48000
@@ -251,7 +220,7 @@ class TestProfile:
     def test_tokens_match_budget(self, tmp_path):
         for i, n_samples in enumerate((800, 4000, 16000, 55555)):
             p = tmp_path / f"d{i}.wav"
-            write_wav(np.zeros(n_samples), 16000, p)
+            write_pcm16_wav(p, 16000, n_samples=n_samples)
             prof = profile(p)
             assert prof.n_tokens == audio_budget(prof.duration)
 

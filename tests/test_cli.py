@@ -179,6 +179,23 @@ def test_undecodable_input_names_file_and_line(tmp_path, capsys, command):
     assert len(err.splitlines()) == 1
 
 
+def test_metrics_names_ids_the_hypothesis_file_lacks(tmp_path, capsys):
+    ref = tmp_path / "r.tsv"
+    ref.write_text("a\thello\nb\tworld\n")
+    hyp = tmp_path / "h.tsv"
+    hyp.write_text("a\thello\n")
+    argv = ["metrics", "wer", "--ref", str(ref), "--hyp", str(hyp)]
+    assert run(capsys, *argv) == (1, "", "error: hypothesis file lacks ids: ['b']\n")
+
+
+def test_metrics_rejects_a_tsv_line_without_a_tab(tmp_path, capsys):
+    ref = tmp_path / "r.tsv"
+    ref.write_text("a hello\n")
+    argv = ["metrics", "wer", "--ref", str(ref), "--hyp", str(ref)]
+    expect = f"error: {ref}:1: malformed line: expected two tab-separated columns\n"
+    assert run(capsys, *argv) == (1, "", expect)
+
+
 def test_metrics_rejects_duplicate_tsv_id(tmp_path, capsys):
     ref = tmp_path / "r.tsv"
     ref.write_text("a\thello world\nb\tgood morning\na\thello there\n")
@@ -325,17 +342,25 @@ def test_budget_lines_match_the_dict_encoder(tmp_path_factory, ids, refs, texts)
 
 
 def test_audio_profile(tmp_path, capsys):
-    import numpy as np
-
-    from capypipe.audio import write_wav
-
     p = tmp_path / "a.wav"
-    write_wav(np.zeros(16000), 16000, p)
+    write_pcm16_wav(p, 16000, n_samples=16000)
     code, out, _ = run(capsys, "audio-profile", "--wav", str(p))
     assert code == 0
     obj = json.loads(out)
     assert obj["n_tokens"] == 25
     assert obj["n_frames"] == 100
+
+
+@pytest.mark.parametrize("rate", [48000, 16000])
+def test_audio_profile_of_a_wav_with_no_frames(tmp_path, capsys, rate):
+    p = tmp_path / "empty.wav"
+    write_pcm16_wav(p, rate, n_samples=0)
+    code, out, err = run(capsys, "audio-profile", "--wav", str(p))
+    assert (code, err) == (0, "")
+    assert out == (
+        f'{{"source_rate":{rate},"duration":0.0,'
+        '"resampled_len":0,"n_frames":0,"n_tokens":0,"rms":0.0}\n'
+    )
 
 
 def test_audio_profile_rejects_zero_sample_rate(tmp_path, capsys):
@@ -995,6 +1020,22 @@ def test_filter_rejects_malformed_manifest(tmp_path, capsys, fields):
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not kept_path.exists()
+
+
+@pytest.mark.parametrize("command", ["filter", "budget", "stats"])
+@pytest.mark.parametrize("literal", ["NaN", "-Infinity", "1e400"])
+@pytest.mark.parametrize("where", ['"score":{}', '"meta":{{"x":[1,{}]}}'], ids=["key", "nested"])
+def test_every_command_refuses_a_number_json_has_not(tmp_path, capsys, command, literal, where):
+    src = tmp_path / "in.jsonl"
+    unknown = where.format(literal)
+    src.write_text(f'{{"id":"a","scenario":"QA","language":"ENG","text":"hi",{unknown}}}\n')
+    argv = [command, "--manifest", str(src), "--out", str(tmp_path / "out.jsonl")]
+    if command == "filter":
+        argv += ["--dropped", str(tmp_path / "dropped.jsonl"), "--report", str(tmp_path / "rep")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {src}:1: malformed record: {literal} is not a finite JSON number\n"
+    assert list(tmp_path.iterdir()) == [src]
 
 
 @pytest.mark.parametrize("kind", ["Video", "Audio"])

@@ -66,6 +66,17 @@ def test_malformed_line_error_names_line(tmp_path):
         read_manifest(p)
 
 
+def test_a_line_with_a_byte_order_mark_is_named_as_such(tmp_path):
+    p = tmp_path / "m.jsonl"
+    p.write_bytes(b'\xef\xbb\xbf{"id":"a","scenario":"QA","language":"ENG","text":"t"}\n')
+    with pytest.raises(ManifestError) as info:
+        read_manifest(p)
+    assert str(info.value) == (
+        f"{p}:1: malformed record: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+        "line 1 column 1 (char 0)"
+    )
+
+
 def test_undecodable_line_error_names_line(tmp_path):
     p = tmp_path / "m.jsonl"
     p.write_bytes(b'{"id":"a","scenario":"QA","language":"ENG","text":"t"}\n\xff\n')
@@ -145,14 +156,21 @@ def test_write_lines_refuses_two_paths_naming_one_file(tmp_path, monkeypatch):
 
 def test_unknown_fields_round_trip(tmp_path):
     p = tmp_path / "m.jsonl"
-    row = {"id": "a", "scenario": "QA", "language": "ENG", "text": "t",
-           "annotator": "team-3", "weights": [1, 2]}
+    # a record's own unknown keys come back after its known fields; a media
+    # ref's or a verdict's are dropped
+    row = {"annotator": "team-3", "id": "a", "scenario": "QA", "language": "ENG", "text": "t",
+           "media": [{"kind": "Audio", "path": "a.wav", "sha256": "ff", "duration": 1.0}],
+           "verdict": {"kept": True, "by": "x"}, "weights": [1, 2]}
     p.write_text(json.dumps(row) + "\n")
     recs = read_manifest(p)
     assert recs[0].extra == {"annotator": "team-3", "weights": [1, 2]}
     out = tmp_path / "out.jsonl"
     write_manifest(recs, out)
-    assert json.loads(out.read_text())["annotator"] == "team-3"
+    assert out.read_text() == (
+        '{"id":"a","scenario":"QA","language":"ENG",'
+        '"media":[{"kind":"Audio","path":"a.wav","duration":1.0}],"text":"t",'
+        '"verdict":{"kept":true},"annotator":"team-3","weights":[1,2]}\n'
+    )
 
 
 _scenarios = st.sampled_from(list(Scenario))
@@ -196,6 +214,14 @@ def test_round_trip_byte_stable(tmp_path):
     write_manifest(recs, p1)
     write_manifest(read_manifest(p1), p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_write_manifest_refuses_a_value_json_has_not_naming_the_record(tmp_path, value):
+    records = [make_record(id="ok"), make_record(id="bad", extra={"meta": {"x": [1, value]}})]
+    with pytest.raises(ValueError, match=r"^record 'bad' cannot be written: Out of range float"):
+        write_manifest(records, tmp_path / "m.jsonl")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("verdict", [

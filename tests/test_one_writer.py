@@ -1,7 +1,7 @@
 """No code under src/capypipe but `manifest.write_lines` writes, renames or
-removes a file: an AST check, on the standard library alone. Every output then
-ends whole or untouched, and two outputs naming one file are refused, in one
-place."""
+removes a file, by builtin `open`, `wave.open` or `os`: an AST check, on the
+standard library alone. Every output then ends whole or untouched, and two
+outputs naming one file are refused, in one place."""
 
 import ast
 from pathlib import Path
@@ -11,26 +11,21 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "capypipe"
 
 def _file_write(call: ast.Call) -> str | None:
     """The call's name if it writes, renames or removes a file, else None."""
-    func = call.func
-    if (
-        isinstance(func, ast.Attribute)
-        and isinstance(func.value, ast.Name)
-        and func.value.id == "os"
-        and func.attr in ("replace", "rename", "remove")
-    ):
-        return f"os.{func.attr}"
-    if isinstance(func, ast.Name) and func.id == "open":
-        if len(call.args) > 1:
-            mode = call.args[1]
-        else:
-            mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), None)
-        if mode is None:
-            return None
-        # a mode that is not a literal cannot be shown to only read
-        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
-            return "open"
-        return "open" if set(mode.value) & set("wax+") else None
-    return None
+    name = ast.unparse(call.func)
+    if name in ("os.replace", "os.rename", "os.remove"):
+        return name
+    if name not in ("open", "wave.open"):
+        return None
+    if len(call.args) > 1:
+        mode = call.args[1]
+    else:
+        mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    if mode is None:
+        return None
+    # a mode that is not a literal cannot be shown to only read
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return name
+    return name if set(mode.value) & set("wax+") else None
 
 
 def _file_writes(source: str) -> set[tuple[str, str]]:
@@ -66,6 +61,7 @@ def test_file_writes_finds_each_kind():
     )
     assert _file_writes(source) == {
         ("f", "open"),
+        ("f", "wave.open"),
         ("f.C.g", "os.replace"),
         ("f.C.g", "open"),
         ("f.C.g", "os.remove"),
