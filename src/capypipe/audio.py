@@ -61,9 +61,13 @@ def decode_wav(path: str | Path) -> tuple[np.ndarray, int]:
             rate = wf.getframerate()
             n_frames = wf.getnframes()
             raw = wf.readframes(n_frames + 1)  # and a part frame that `wave`'s count drops
-    except (wave.Error, EOFError) as exc:
-        # `wave` raises a bare EOFError when the file ends inside a header chunk
-        reason = str(exc) or "header is cut short"
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        # `wave` raises a bare EOFError when the file ends inside a header chunk,
+        # and a bare RuntimeError when a chunk's size runs past the RIFF chunk
+        reason = str(exc) or (
+            "header is cut short" if isinstance(exc, EOFError)
+            else "a chunk runs past the end of the RIFF chunk"
+        )
         raise AudioFormatError(f"{path}: not a supported RIFF/WAVE file: {reason}") from exc
     if sampwidth != 2:
         raise AudioFormatError(
@@ -106,8 +110,7 @@ def log_mel(samples: np.ndarray) -> MelSpectrogram:
     else:
         padded = np.pad(samples, pad, mode="constant")
     window = 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(N_FFT) / N_FFT))
-    idx = np.arange(N_FFT)[None, :] + HOP * np.arange(n_frames)[:, None]
-    frames = padded[idx] * window[None, :]
+    frames = np.lib.stride_tricks.sliding_window_view(padded, N_FFT)[::HOP][:n_frames] * window
     power = np.abs(np.fft.rfft(frames, axis=1)) ** 2  # (n_frames, N_FFT//2 + 1)
     mel = mel_filterbank() @ power.T  # (N_MELS, n_frames)
     log_spec = np.log10(np.maximum(mel, _LOG_EPS))

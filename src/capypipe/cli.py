@@ -178,8 +178,8 @@ def cmd_metrics(args: argparse.Namespace, config: PipelineConfig) -> list[str]:
     if args.metric == "sim":
         # before the files are read, so that no TSV content can hide a bad flag
         _count("n", args.ngram, MAX_NGRAM)
-    refs = read_keyed(args.ref, _tsv_pair, "line")
-    hyps = read_keyed(args.hyp, _tsv_pair, "line")
+    refs = dict(read_keyed(args.ref, _tsv_pair, "line"))
+    hyps = dict(read_keyed(args.hyp, _tsv_pair, "line"))
     missing = [k for k in refs if k not in hyps]
     if missing:
         raise CliError(f"hypothesis file lacks ids: {missing[:5]}", EXIT_INVALID)

@@ -11,7 +11,7 @@ import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 # the padded n-grams of a text hold about n * (len + n) characters
 MAX_NGRAM = 100
@@ -321,13 +321,14 @@ def dumps_record(record: SampleRecord) -> str:
         raise ValueError(f"record {record.id!r} cannot be written: {exc}") from exc
 
 
-def read_keyed(path: str | Path, parse: Callable[[str], tuple[str, Any]], what: str) -> dict:
-    """Read one item per line, `parse(line) -> (id, item)`, into {id: item} in
-    file order, skipping blank lines. A line not UTF-8 or that `parse` rejects
+def read_keyed(
+    path: str | Path, parse: Callable[[str], tuple[str, Any]], what: str
+) -> Iterator[tuple[str, Any]]:
+    """Yield one (id, item) pair per line, `parse(line) -> (id, item)`, in file
+    order, skipping blank lines. A line not UTF-8 or that `parse` rejects
     (KeyError, TypeError, ValueError, or RecursionError for a value nested past
     the interpreter's limit) fails as `path:line: malformed <what>`, and an id
     seen twice fails naming both lines; each is a `ManifestError`."""
-    items: dict[str, Any] = {}
     lines: dict[str, int] = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -338,13 +339,9 @@ def read_keyed(path: str | Path, parse: Callable[[str], tuple[str, Any]], what: 
                 key, item = parse(line)
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ManifestError(f"{path}:{lineno}: malformed {what}: {exc}") from exc
-            if key in lines:
-                raise ManifestError(
-                    f"{path}: duplicate id {key!r} on lines {lines[key]} and {lineno}"
-                )
-            lines[key] = lineno
-            items[key] = item
-    return items
+            if (first := lines.setdefault(key, lineno)) != lineno:
+                raise ManifestError(f"{path}: duplicate id {key!r} on lines {first} and {lineno}")
+            yield key, item
 
 
 def _finite(literal: str) -> float:
@@ -376,7 +373,7 @@ def _keyed_record(line: str) -> tuple[str, SampleRecord]:
 
 def read_manifest(path: str | Path) -> list[SampleRecord]:
     """Read a JSONL manifest; one record per line, order preserved."""
-    return list(read_keyed(path, _keyed_record, "record").values())
+    return [rec for _, rec in read_keyed(path, _keyed_record, "record")]
 
 
 def write_lines(files: list[tuple[str | Path, Iterable[str]]]) -> None:

@@ -24,7 +24,6 @@ normalizes each distinct text once, whichever stages read it.
 from __future__ import annotations
 
 import functools
-import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
@@ -199,36 +198,39 @@ def _shingle_rows(texts: list[str], n: int) -> tuple[np.ndarray, np.ndarray, int
     return rows.astype(np.int32, copy=False), offsets, vocab
 
 
-def _least(threshold: float, guess: int, ratio) -> int:
-    """Smallest a >= 1 with ratio(a) >= threshold in floating point, searched
-    from guess; ratio must not fall as a grows, and must reach the threshold."""
-    a = guess
-    while a > 1 and ratio(a - 1) >= threshold:
-        a -= 1
-    while ratio(a) < threshold:
-        a += 1
-    return a
+def _least(threshold: float, guess, ratio) -> int | np.ndarray:
+    """Smallest a >= 1 with ratio(a) >= threshold in floating point, elementwise,
+    searched from ceil(guess); ratio must not fall as a grows, and must reach
+    the threshold. An int for a scalar guess, else an int64 array."""
+    a = np.ceil(guess).astype(np.int64)
+    while (down := (a > 1) & (ratio(a - 1) >= threshold)).any():
+        a -= down
+    while (up := ratio(a) < threshold).any():
+        a += up
+    return a if a.ndim else int(a)
 
 
-def _min_overlap(size: int, threshold: float) -> int:
-    """Smallest a with a / size >= threshold in floating point.
+def _min_overlap(size: int | np.ndarray, threshold: float) -> int | np.ndarray:
+    """Smallest a with a / size >= threshold in floating point, elementwise
+    over an array of sizes.
 
     If |y| <= |x| = size, the float Jaccard inter / (|x| + |y| - inter) is at
     most inter / |x| and at most |y| / |x| (rounding keeps the order), so a
     pair reaching the threshold has inter >= a and |y| >= a, boundary pairs
     such as J = 4/5 at threshold 0.8 included.
     """
-    return _least(threshold, math.ceil(threshold * size), lambda a: a / size)
+    return _least(threshold, threshold * size, lambda a: a / size)
 
 
-def _mid_overlap(size: int, threshold: float) -> int:
-    """Smallest a with a / (2 size - a) >= threshold in floating point.
+def _mid_overlap(size: int | np.ndarray, threshold: float) -> int | np.ndarray:
+    """Smallest a with a / (2 size - a) >= threshold in floating point,
+    elementwise over an array of sizes.
 
     If size = |y| <= |x|, the float Jaccard inter / (|x| + |y| - inter) is at
     most inter / (2|y| - inter), which does not fall as inter grows, so a
     pair reaching the threshold has inter >= a: about 2t / (1 + t) |y|.
     """
-    return _least(threshold, math.ceil(2 * threshold / (1 + threshold) * size),
+    return _least(threshold, 2 * threshold / (1 + threshold) * size,
                   lambda a: a / (2 * size - a))
 
 
@@ -285,11 +287,7 @@ def _similar_pairs(texts: list[str], threshold: float, n: int):
     size = np.diff(offsets)[visit]
     start = offsets[visit]
     del offsets
-    need = np.zeros(int(size[-1]) + 1, np.int64)
-    mid = np.zeros_like(need)
-    for s in np.flatnonzero(np.bincount(size)).tolist():
-        need[s], mid[s] = _min_overlap(s, threshold), _mid_overlap(s, threshold)
-    need, mid = need[size], mid[size]
+    need, mid = _min_overlap(size, threshold), _mid_overlap(size, threshold)
     ell = np.minimum(need, 2)
     probed = size - need + ell
     indexed = size - mid + np.minimum(mid, 2)

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import capypipe
@@ -380,6 +380,25 @@ def test_audio_profile_rejects_truncated_wav(tmp_path, capsys, size):
     code, out, err = run(capsys, "audio-profile", "--wav", str(p))
     assert (code, out) == (1, "")
     assert err == f"error: {p}: not a supported RIFF/WAVE file: header is cut short\n"
+
+
+# a LIST chunk before fmt that declares 1,000 bytes the file has not, and a
+# whole LIST chunk in a RIFF chunk that declares only 12 bytes: `wave` raises
+# a bare RuntimeError when it seeks past either
+@pytest.mark.parametrize("riff_size, chunk", [
+    pytest.param(None, b"LIST" + struct.pack("<I", 1000), id="past-the-file"),
+    pytest.param(12, b"LIST" + struct.pack("<I", 4) + b"INFO", id="past-the-riff-size"),
+])
+def test_audio_profile_rejects_a_chunk_past_the_riff_chunk(tmp_path, capsys, riff_size, chunk):
+    p = tmp_path / "c.wav"
+    fmt = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+    body = (b"WAVE" + chunk + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", 8) + bytes(8))
+    p.write_bytes(b"RIFF" + struct.pack("<I", riff_size or len(body)) + body)
+    code, out, err = run(capsys, "audio-profile", "--wav", str(p))
+    assert (code, out) == (1, "")
+    assert err == (f"error: {p}: not a supported RIFF/WAVE file: "
+                   "a chunk runs past the end of the RIFF chunk\n")
 
 
 # cut: mono, 45 of 244 bytes, one byte of a sample; stereo, one and a half
@@ -1038,6 +1057,19 @@ def test_every_command_refuses_a_number_json_has_not(tmp_path, capsys, command, 
     assert list(tmp_path.iterdir()) == [src]
 
 
+@pytest.mark.parametrize("command", ["filter", "budget", "stats"])
+def test_every_command_refuses_an_int_past_the_float_range(tmp_path, capsys, command):
+    src = tmp_path / "in.jsonl"
+    width = 2**1024
+    src.write_text('{"id":"a","scenario":"QA","language":"ENG","text":"hi",'
+                   f'"media":[{{"kind":"Image","path":"i.png","width":{width},"height":9}}]}}\n')
+    code, out, err = run(capsys, command, "--manifest", str(src),
+                         "--out", str(tmp_path / "out.jsonl"))
+    assert (code, out) == (1, "")
+    assert err == f"error: {src}:1: malformed record: width must be a finite number, got {width}\n"
+    assert list(tmp_path.iterdir()) == [src]
+
+
 @pytest.mark.parametrize("kind", ["Video", "Audio"])
 def test_filter_rejects_negative_duration_of_any_timed_ref(tmp_path, capsys, kind):
     line = {"id": "c", "scenario": "Caption", "language": "ENG", "text": "a clip",
@@ -1194,22 +1226,29 @@ def test_fuzzed_config_ends_in_exit_code_not_traceback(tmp_path_factory, config)
 
 
 # WAV headers: rates inside and outside 8-192 kHz, channel counts and sample
-# widths `decode_wav` does and does not take, and files cut anywhere
+# widths `decode_wav` does and does not take, any of the 44 header bytes
+# edited (chunk ids and sizes among them), and files cut anywhere; the example
+# renames the fmt chunk to a LIST chunk of 1,000 bytes, past the RIFF chunk
 @settings(max_examples=40, deadline=None)
 @given(
     rate=st.sampled_from([0, 1, 7999, 8000, 16000, 44100, 48000, 192000, 192001, 2**32 - 1]),
     channels=st.sampled_from([0, 1, 2, 3]),
     bits=st.sampled_from([0, 8, 16, 24, 32]),
     n_samples=st.integers(0, 200),
+    edits=st.dictionaries(st.integers(0, 43), st.integers(0, 255), max_size=4),
     cut=st.none() | st.integers(0, 300),
 )
+@example(rate=16000, channels=1, bits=16, n_samples=4, cut=None,
+         edits={12: ord("L"), 13: ord("I"), 14: ord("S"), 15: ord("T"), 16: 0xE8, 17: 0x03})
 def test_fuzzed_wav_ends_in_exit_code_not_traceback(
-    tmp_path_factory, rate, channels, bits, n_samples, cut
+    tmp_path_factory, rate, channels, bits, n_samples, edits, cut
 ):
     wav = tmp_path_factory.mktemp("wav") / "a.wav"
     write_pcm16_wav(wav, rate, n_samples, channels, bits)
-    if cut is not None:
-        wav.write_bytes(wav.read_bytes()[:cut])
+    data = bytearray(wav.read_bytes())
+    for at, byte in edits.items():
+        data[at] = byte
+    wav.write_bytes(data[:cut])
     _assert_exit_code_not_traceback(["audio-profile", "--wav", str(wav)])
 
 

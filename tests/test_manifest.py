@@ -224,6 +224,11 @@ def test_write_manifest_refuses_a_value_json_has_not_naming_the_record(tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_media_ref_refuses_a_non_finite_size():
+    with pytest.raises(ValueError, match="^width must be a finite number, got nan$"):
+        MediaRef.from_json({"kind": "Image", "path": "i.png", "width": float("nan")})
+
+
 @pytest.mark.parametrize("verdict", [
     None,
     FilterVerdict(kept=True),
@@ -369,7 +374,7 @@ def test_read_keyed_names_a_repeated_id_and_skips_blank_lines(tmp_path):
         return tuple(line.rstrip("\n").split("\t"))
 
     p.write_text("a\t1\n\n  \nb\t2\n")
-    assert read_keyed(p, pair, "line") == {"a": "1", "b": "2"}
+    assert dict(read_keyed(p, pair, "line")) == {"a": "1", "b": "2"}
     p.write_text("a\t1\n\n  \nb\t2\na\t3\n")
     with pytest.raises(ManifestError, match=rf"^{re.escape(str(p))}: duplicate id 'a' on lines 1 and 5$"):
-        read_keyed(p, pair, "line")
+        list(read_keyed(p, pair, "line"))

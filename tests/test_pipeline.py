@@ -439,12 +439,20 @@ class TestSimilarPairsEdges:
                 self.check([x, y, "z"], math.nextafter(t, 2.0), 1)
 
     def test_mid_overlap_is_the_least_overlap_reaching_the_threshold(self):
-        for s in range(1, 60):
-            for t in (0.05, 0.3, 1 / 3, 0.5, 2 / 3, 0.7, 0.8, 0.9, 1.0):
-                a = _mid_overlap(s, t)
+        # just above 1/3 and 2/3, the product t * s rounds down onto an integer,
+        # so both bounds must step up from its ceiling
+        above = (math.nextafter(1 / 3, 2.0), math.nextafter(2 / 3, 2.0))
+        sizes = np.arange(1, 60)
+        for t in (0.05, 0.3, 1 / 3, 0.5, 2 / 3, 0.7, 0.8, 0.9, 1.0, *above):
+            for s in sizes.tolist():
+                a, b = _mid_overlap(s, t), _min_overlap(s, t)
                 assert a / (2 * s - a) >= t
                 assert a == 1 or (a - 1) / (2 * s - a + 1) < t
-                assert a >= _min_overlap(s, t)
+                assert a >= b
+                assert b / s >= t and (b == 1 or (b - 1) / s < t)
+            # the join calls both on its array of sizes at once
+            assert _mid_overlap(sizes, t).tolist() == [_mid_overlap(s, t) for s in sizes.tolist()]
+            assert _min_overlap(sizes, t).tolist() == [_min_overlap(s, t) for s in sizes.tolist()]
 
 
 def test_join_memory_stays_within_its_budget():

@@ -206,6 +206,19 @@ class TestBilinearResize:
             bilinear_resize(np.zeros(shape, dtype=np.uint8), 3, 3)
 
 
+class TestEmbeddingGrid:
+    def test_rejects_values_of_another_shape(self):
+        with pytest.raises(ValueError, match=r"^values shape \(2, 3, 1\) != \(2,2,1\)$"):
+            EmbeddingGrid(2, 2, 1, np.zeros((2, 3, 1), dtype=np.float32))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_value(self, value):
+        vals = np.zeros((2, 2, 1), dtype=np.float32)
+        vals[1, 0, 0] = value
+        with pytest.raises(ValueError, match="^embedding values must be finite$"):
+            EmbeddingGrid(2, 2, 1, vals)
+
+
 class TestInterpolatePosEmbed:
     def test_same_shape_identity(self, rng):
         g = EmbeddingGrid(4, 5, 3, rng.normal(size=(4, 5, 3)).astype(np.float32))
