@@ -2,7 +2,9 @@
 
 JSON results go to stdout (or --out); diagnostics go to stderr. Each
 subcommand but `filter` returns its output lines, and `dispatch` alone writes
-them; `filter` writes its kept, dropped and report files itself, together.
+them; `budget` returns them as a generator, so that each record is read, priced
+and written before the next is decoded. `filter` writes its kept, dropped and
+report files itself, together.
 Every output file goes through `manifest.write_lines`, which refuses two that
 name one file; `filter` makes its --report directory first, so a fault there is
 reported first, and a failed run removes each directory it made.
@@ -20,6 +22,7 @@ import functools
 import json
 import os
 import sys
+from typing import Iterable, Iterator
 
 from . import audio as audio_mod
 from . import pipeline as pipeline_mod
@@ -28,8 +31,10 @@ from . import video as video_mod
 from .manifest import (
     MAX_NGRAM,
     PipelineConfig,
+    SampleRecord,
     _COMPACT_JSON,
     _count,
+    _keyed_record,
     dumps_record,
     read_keyed,
     read_manifest,
@@ -107,7 +112,18 @@ def _directory(path: str):
         raise
 
 
-def _emit(lines: list[str], out: str | None) -> None:
+def _records(path: str) -> Iterator[SampleRecord]:
+    """The manifest's records, decoded one at a time. An `OSError` from reading
+    it, at open or mid-stream, is the `cannot read` failure, also where the
+    reader runs inside `write_lines`, which would name the output instead."""
+    try:
+        for _, rec in read_keyed(path, _keyed_record, "record"):
+            yield rec
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}", EXIT_IO) from exc
+
+
+def _emit(lines: Iterable[str], out: str | None) -> None:
     """Write each line, LF-terminated, to `out` (or stdout), with no joined copy;
     `out` ends whole or untouched (`manifest.write_lines`)."""
     if not out:
@@ -147,15 +163,12 @@ def cmd_plan_tiles(args: argparse.Namespace, config: PipelineConfig) -> list[str
     ]
 
 
-def cmd_budget(args: argparse.Namespace, config: PipelineConfig) -> list[str]:
-    lines = []
-    for rec in read_manifest(args.manifest):
+def cmd_budget(args: argparse.Namespace, config: PipelineConfig) -> Iterator[str]:
+    for rec in _records(args.manifest):
         layout = tokens_mod.assemble_layout(rec, config)
         # the text `_dumps({"id": rec.id, **layout.to_json()})` gives, without the dicts
-        lines.append(
-            f'{{"id":{_dumps(rec.id)},"total":{layout.total},"segments":{layout.segments_json()}}}'
-        )
-    return lines
+        segments = layout.segments_json()
+        yield f'{{"id":{_dumps(rec.id)},"total":{layout.total},"segments":{segments}}}'
 
 
 def cmd_audio_profile(args: argparse.Namespace, config: PipelineConfig) -> list[str]:
@@ -230,7 +243,7 @@ def cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> None:
 
 
 def cmd_stats(args: argparse.Namespace, config: PipelineConfig) -> list[str]:
-    return [_dumps(row) for row in pipeline_mod.stats(read_manifest(args.manifest))]
+    return [_dumps(row) for row in pipeline_mod.stats(_records(args.manifest))]
 
 
 # ---------------------------------------------------------------------------

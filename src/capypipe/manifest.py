@@ -40,6 +40,25 @@ class MediaKind(str, Enum):
     AUDIO = "Audio"
 
 
+def _lookup(enum: type[Enum]) -> Callable[[Any], Any]:
+    """`enum` as a function of a value, which looks the member up in a dict
+    built once; a miss, or a value that cannot be a dict key, takes the `Enum`
+    call, so that its `ValueError` is the one raised."""
+    members = {member.value: member for member in enum}
+
+    def member(value: Any) -> Any:
+        try:
+            return members[value]
+        except (KeyError, TypeError):
+            pass
+        return enum(value)  # outside the handler, so no KeyError rides along as its context
+
+    return member
+
+
+_scenario, _language, _media_kind = map(_lookup, (Scenario, Language, MediaKind))
+
+
 class DedupNormalization(str, Enum):
     STANDARD = "standard"
     NONE = "none"
@@ -130,7 +149,7 @@ class MediaRef:
     def from_json(cls, obj: dict[str, Any]) -> "MediaRef":
         _object("media ref", obj)
         return cls(
-            kind=MediaKind(obj["kind"]),
+            kind=_media_kind(obj["kind"]),
             path=_str("path", obj["path"]),
             width=_number("width", obj.get("width")),
             height=_number("height", obj.get("height")),
@@ -217,8 +236,8 @@ class SampleRecord:
         extra = {k: v for k, v in obj.items() if k not in _KNOWN_KEYS}
         return cls(
             id=_str("id", obj["id"]),
-            scenario=Scenario(obj["scenario"]),
-            language=Language(obj["language"]),
+            scenario=_scenario(obj["scenario"]),
+            language=_language(obj["language"]),
             media=tuple(MediaRef.from_json(m) for m in media),
             text=_str("text", obj.get("text", "")),
             hypothesis=_str("hypothesis", obj.get("hypothesis"), optional=True),

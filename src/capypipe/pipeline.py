@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -484,8 +485,9 @@ def curate(records: list[SampleRecord], config: PipelineConfig | None = None) ->
     ], config)
 
 
-def stats(records: list[SampleRecord]) -> list[dict]:
-    """Counts grouped by (scenario, language, source), in first-seen order."""
+def stats(records: Iterable[SampleRecord]) -> list[dict]:
+    """Counts grouped by (scenario, language, source), in first-seen order; the
+    records are read once, so a generator of them is counted as it goes."""
     counts = Counter((rec.scenario.value, rec.language.value, rec.source) for rec in records)
     return [
         {"scenario": s, "language": lang, "source": src, "count": c}

@@ -71,18 +71,21 @@ class TokenLayout:
         }
 
     def segments_json(self) -> str:
-        """`to_json()["segments"]` as compact JSON text, joined from one cached
-        fragment per run."""
-        return "[" + ",".join(map(_run_json, self.runs)) + "]"
+        """`to_json()["segments"]` as compact JSON text: each run's block, one
+        cached fragment, repeated as the run says."""
+        parts = [_block_json(block) * repeat for block, repeat in self.runs]
+        if parts:
+            parts[0] = parts[0][1:]  # every segment opens with its comma but the first
+        return f"[{''.join(parts)}]"
 
 
-# bounded, since audio and text runs take one entry per distinct count
+# bounded, since audio and text blocks take one entry per distinct count; an
+# entry is one block's text, not a repeated run's, so it stays ~100 B at any
+# frame cap
 @functools.lru_cache(maxsize=1024)
-def _run_json(run: Run) -> str:
-    block, repeat = run
+def _block_json(block: tuple[Segment, ...]) -> str:
     # kind values are plain ASCII names, and an int's JSON is its repr
-    unit = ",".join(f'{{"kind":"{kind.value}","count":{count}}}' for kind, count in block)
-    return ",".join([unit] * repeat)
+    return "".join(f',{{"kind":"{kind.value}","count":{count}}}' for kind, count in block)
 
 
 def compress_tokens(grid: EmbeddingGrid) -> EmbeddingGrid:

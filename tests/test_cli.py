@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -448,6 +449,87 @@ def test_budget_to_closed_pipe_exits_cleanly(tmp_path):
     assert head == b'{"id":"r0","tota'
     # no BrokenPipeError traceback
     assert (proc.returncode, err) == (0, "")
+
+
+def _priced_manifest(path, n):
+    """n records that cycle through a 300 s video (128 frames, a line of about
+    12 KB), an image, an audio clip and text alone."""
+    media = [(MediaRef(kind=MediaKind.VIDEO, path="v.mp4", duration=300.0),),
+             (MediaRef(kind=MediaKind.IMAGE, path="i.png", width=1344, height=900),),
+             (audio_ref(duration=7.5),), ()]
+    write_manifest(
+        [make_record(id=f"r{i:05d}", scenario=Scenario.QA, media=media[i % 4],
+                     text="a few words of text") for i in range(n)],
+        path,
+    )
+
+
+@pytest.mark.parametrize("command", ["budget", "stats"])
+def test_streaming_commands_hold_no_record_list(tmp_path, capsys, command):
+    # `budget --out` prices and writes each record before it decodes the next,
+    # and `stats` counts as it reads, so their peak grows with the manifest only
+    # by the reader's id -> line dict, about 100 B an id
+    peaks = {}
+    for n in (500, 500, 4000):  # the first run warms the caches
+        src = tmp_path / f"in{n}.jsonl"
+        _priced_manifest(src, n)
+        argv = [command, "--manifest", str(src)]
+        if command == "budget":
+            argv += ["--out", str(tmp_path / "out.jsonl")]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert dispatch(argv) == 0
+            peaks[n] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+    # here about 0.4 MB more at 4,000; holding the records and lines, 2 MB for
+    # `stats` and 14 MB for `budget`
+    assert peaks[4000] - peaks[500] < 2**20, peaks
+
+
+@pytest.mark.parametrize("reason", ["missing", "directory", "mid-stream"])
+def test_unreadable_manifest_under_budget_out_is_a_read_error(tmp_path, capsys, monkeypatch,
+                                                               reason):
+    # the reader runs inside the writer of --out, but fails as a read, not a write
+    src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    strerror = {"missing": "No such file or directory", "directory": "Is a directory",
+                "mid-stream": os.strerror(errno.EIO)}[reason]
+    if reason == "directory":
+        src.mkdir()
+    if reason == "mid-stream":
+        _priced_manifest(src, 3)
+        read_keyed = cli.read_keyed
+
+        def failing(*args):
+            for pair in read_keyed(*args):
+                yield pair
+                raise OSError(errno.EIO, strerror)
+
+        monkeypatch.setattr(cli, "read_keyed", failing)
+    code, stdout, err = run(capsys, "budget", "--manifest", str(src), "--out", str(out))
+    assert (code, stdout, err) == (2, "", f"error: cannot read {src}: {strerror}\n")
+    # no output and no temp file
+    assert [p.name for p in tmp_path.iterdir()] == ([] if reason == "missing" else [src.name])
+
+
+def test_budget_fails_at_the_record_it_cannot_price(tmp_path, capsys):
+    src, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    text = [make_record(id=i, scenario=Scenario.QA, text="two words") for i in "ac"]
+    unpriced = make_record(id="b", scenario=Scenario.QA,
+                           media=(MediaRef(kind=MediaKind.VIDEO, path="v.mp4"),))
+    write_manifest([text[0], unpriced, text[1]], src)
+    error = "error: record 'b': video ref 'v.mp4': lacks duration\n"
+    # --out ends whole or untouched: the old bytes stay, and no temp file
+    out.write_bytes(b"old\n")
+    argv = ["budget", "--manifest", str(src)]
+    assert run(capsys, *argv, "--out", str(out)) == (1, "", error)
+    assert out.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "out.jsonl"]
+    # stdout streams: the line before the failing record is already written
+    line = '{"id":"a","total":2,"segments":[{"kind":"Text","count":2}]}\n'
+    assert run(capsys, *argv) == (1, line, error)
 
 
 @pytest.mark.parametrize(

@@ -77,6 +77,28 @@ def test_a_line_with_a_byte_order_mark_is_named_as_such(tmp_path):
     )
 
 
+@pytest.mark.parametrize("value", ["asr", "", "Image ", None, 0, 1.5, True, [], ["QA"], {"QA": 1}])
+@pytest.mark.parametrize(
+    "enum, field, later",
+    [(Scenario, "scenario", "language"), (Language, "language", "kind"),
+     (MediaKind, "kind", "text")],
+)
+def test_a_value_no_member_has_fails_as_the_enum_call_does(tmp_path, value, enum, field, later):
+    # the decoder looks members up in a dict; a miss, unhashable values included,
+    # fails with the `Enum` call's message, before any later field is checked
+    obj = {"id": "a", "scenario": "QA", "language": "ENG",
+           "media": [{"kind": "Image", "path": "i.png"}], "text": "t"}
+    for key, val in ((field, value), (later, 5)):
+        (obj["media"][0] if key == "kind" else obj)[key] = val
+    p = tmp_path / "m.jsonl"
+    p.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(ValueError) as called:
+        enum(value)
+    with pytest.raises(ManifestError) as read:
+        read_manifest(p)
+    assert str(read.value) == f"{p}:1: malformed record: {called.value}"
+
+
 def test_undecodable_line_error_names_line(tmp_path):
     p = tmp_path / "m.jsonl"
     p.write_bytes(b'{"id":"a","scenario":"QA","language":"ENG","text":"t"}\n\xff\n')
