@@ -23,6 +23,7 @@ N_FFT = 400
 HOP = 160
 LOG_DYNAMIC_RANGE = 8.0
 _LOG_EPS = 1e-10
+_MEL_STEP = math.log(6.4) / 27.0
 
 
 @dataclass(frozen=True)
@@ -124,14 +125,12 @@ def hz_to_mel(f: np.ndarray | float) -> np.ndarray | float:
     f = np.asarray(f, dtype=np.float64)
     mel = f * 3.0 / 200.0
     log_region = f >= 1000.0
-    step = math.log(6.4) / 27.0
-    return np.where(log_region, 15.0 + np.log(np.maximum(f, 1000.0) / 1000.0) / step, mel)
+    return np.where(log_region, 15.0 + np.log(np.maximum(f, 1000.0) / 1000.0) / _MEL_STEP, mel)
 
 
 def mel_to_hz(m: np.ndarray | float) -> np.ndarray | float:
     m = np.asarray(m, dtype=np.float64)
-    step = math.log(6.4) / 27.0
-    return np.where(m >= 15.0, 1000.0 * np.exp(step * (m - 15.0)), m * 200.0 / 3.0)
+    return np.where(m >= 15.0, 1000.0 * np.exp(_MEL_STEP * (m - 15.0)), m * 200.0 / 3.0)
 
 
 def _mel_edges() -> np.ndarray:

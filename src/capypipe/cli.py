@@ -19,7 +19,6 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import json
 import os
 import sys
 from typing import Iterable, Iterator
@@ -33,6 +32,7 @@ from .manifest import (
     PipelineConfig,
     SampleRecord,
     _COMPACT_JSON,
+    _REPORT_JSON,
     _count,
     _keyed_record,
     dumps_record,
@@ -230,7 +230,7 @@ def cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> None:
         outputs.append((args.dropped, map(dumps_record, result.dropped)))
     if args.report:
         for rep in result.reports:
-            text = json.dumps(rep.to_json(), ensure_ascii=False, indent=2, sort_keys=True)
+            text = _REPORT_JSON.encode(rep.to_json())
             outputs.append((os.path.join(args.report, f"{rep.stage}.json"), [text]))
     # every output is written, or none is replaced and no new directory stays
     with _writing(), _directory(args.report or os.curdir):

@@ -76,9 +76,10 @@ def _object(what: str, val: Any) -> dict[str, Any]:
 
 # a JSON escape of a UTF-16 surrogate, \ud800-\udfff, paired or not
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
-# the encoder of every JSON line capypipe writes, built once rather than per line;
-# it refuses NaN and Infinity, which JSON has not, with a `ValueError`
+# the encoders of every JSON line and of every --report file capypipe writes, built
+# once; each refuses NaN and Infinity, which JSON has not, with a `ValueError`
 _COMPACT_JSON = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False)
+_REPORT_JSON = json.JSONEncoder(ensure_ascii=False, indent=2, sort_keys=True, allow_nan=False)
 
 
 def _str(key: str, val: Any, optional: bool = False) -> str | None:
@@ -344,10 +345,10 @@ def read_keyed(
     path: str | Path, parse: Callable[[str], tuple[str, Any]], what: str
 ) -> Iterator[tuple[str, Any]]:
     """Yield one (id, item) pair per line, `parse(line) -> (id, item)`, in file
-    order, skipping blank lines. A line not UTF-8 or that `parse` rejects
-    (KeyError, TypeError, ValueError, or RecursionError for a value nested past
-    the interpreter's limit) fails as `path:line: malformed <what>`, and an id
-    seen twice fails naming both lines; each is a `ManifestError`."""
+    order, skipping blank lines. A line not UTF-8, led by a BOM, or that `parse`
+    rejects (KeyError, TypeError, ValueError, or RecursionError for a value nested
+    past the interpreter's limit) fails as `path:line: malformed <what>`, and an
+    id seen twice fails naming both lines; each is a `ManifestError`."""
     lines: dict[str, int] = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -355,6 +356,9 @@ def read_keyed(
                 line = raw.decode("utf-8")
                 if not line.strip():
                     continue
+                if line.startswith("\ufeff"):  # worded as `json.loads` reports it
+                    raise ValueError("Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                                     "line 1 column 1 (char 0)")
                 key, item = parse(line)
             except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise ManifestError(f"{path}:{lineno}: malformed {what}: {exc}") from exc
@@ -376,8 +380,6 @@ _STRICT_JSON = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)
 
 
 def _keyed_record(line: str) -> tuple[str, SampleRecord]:
-    if line.startswith("\ufeff"):  # as `json.loads` reports it; `decode` would not
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
     obj = _STRICT_JSON.decode(line)
     if _SURROGATE_ESCAPE.search(line):
         # only a \ud800-\udfff escape can put a lone surrogate in UTF-8 text,

@@ -111,13 +111,13 @@ def ngram_cosines(a: Sequence[str], b: Sequence[str], n: int = 3) -> list[float]
 
     n outside 1..100 is a `ValueError`, and the first pair whose strings are
     both shorter than n after padding (both empty, at n = 1) a `PairError`.
-    A pair with one side empty scores 0.0, and one with equal count vectors
-    1.0. The other pairs are scored in array passes over spans of pairs
-    within the array-pass memory budget: each text's n-gram counts are the
-    runs of the sorted keys of `_kernels.text_ngrams`, and the dot product
-    and the squared norms are summed as exact int64, so that the
-    one float step, dot / (sqrt(na) * sqrt(nb)), rounds as it does on
-    Python ints.
+    Equal count vectors score 1.0; a pair with a side empty scores 0.0, unless
+    n > 1 and the other side, padded, holds the n-gram of n padding characters
+    (U+0001, `_BOUNDARY`): `ngram_cosine("", "\\x01")` is 1.0. Other pairs are
+    scored in array passes over spans of pairs within the memory budget: each
+    text's n-gram counts are the runs of the sorted keys of `_kernels.text_ngrams`,
+    and the dot product and the squared norms are exact int64 sums, so that the
+    one float step, dot / (sqrt(na) * sqrt(nb)), rounds as it does on Python ints.
     """
     _count("n", n, MAX_NGRAM)
     sims = [0.0] * len(a)

@@ -135,14 +135,17 @@ def _run(records, stages, config: PipelineConfig) -> PipelineResult:
     )
 
 
+def _first_copies(keys: list) -> dict[int, int]:
+    """{i: j} for each key i equal to an earlier key, j the first of them, i ascending."""
+    first: dict = {}
+    return {i: j for i, key in enumerate(keys) if (j := first.setdefault(key, i)) != i}
+
+
 def _dedup_verdicts(records, config, norm):
     raw = config.dedup_normalization is DedupNormalization.NONE
-    seen: set[str] = set()
-    verdicts = []
-    for rec in records:
-        key = rec.text if raw else norm(rec.text)
-        verdicts.append(_EXACT_DUPLICATE if key in seen else None)
-        seen.add(key)
+    verdicts = [None] * len(records)
+    for i in _first_copies([rec.text if raw else norm(rec.text) for rec in records]):
+        verdicts[i] = _EXACT_DUPLICATE
     return verdicts
 
 
@@ -270,15 +273,10 @@ def _similar_pairs(texts: list[str], threshold: float, n: int):
     matrix of one vocabulary-wide row per x. Each span of probing texts, of
     posting entries and of verified pairs holds about _kernels._BLOCK_BYTES.
     """
-    first: dict[str, int] = {}
-    joined: list[int] = []  # the input index of each text in the join
-    for i, text in enumerate(texts):
-        j = first.setdefault(text, i)
-        if j != i:
-            yield j, i
-        elif len(text) >= n:
-            joined.append(i)
-    del first
+    copies = _first_copies(texts)
+    yield from ((j, i) for i, j in copies.items())
+    # the input index of each text in the join: a first copy of n or more characters
+    joined = [i for i, text in enumerate(texts) if i not in copies and len(text) >= n]
     m = len(joined)
     if m < 2:
         return

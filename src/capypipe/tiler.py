@@ -62,13 +62,17 @@ def grid_score(width: int, height: int, rows: int, cols: int) -> float:
     return -abs(math.log((width / height) / (cols / rows)))
 
 
-def plan_tiles(width: int, height: int, max_slices: int = 9, cell_size: int = 448) -> TilePlan:
-    """Choose the sub-image grid for an image of the given pixel dimensions."""
+def _image_size(width: float, height: float) -> None:
+    """Refuse sides not positive or outside the float range (NaN too): plan and fit divide them."""
     if width <= 0 or height <= 0:
         raise ValueError(f"image dimensions must be positive, got {width}x{height}")
-    if width > sys.float_info.max or height > sys.float_info.max:
-        # grid_score divides width by height in float arithmetic
+    if not (width <= sys.float_info.max and height <= sys.float_info.max):
         raise ValueError("image dimensions must lie in the float range")
+
+
+def plan_tiles(width: int, height: int, max_slices: int = 9, cell_size: int = 448) -> TilePlan:
+    """Choose the sub-image grid for an image of the given pixel dimensions."""
+    _image_size(width, height)
     _count("max_slices", max_slices, MAX_SLICES)
     _count("cell_size", cell_size)
     # the area is clamped before the division, so no finite area overflows
@@ -99,8 +103,7 @@ def resize_geometry(width: int, height: int, plan: TilePlan) -> tuple[int, int, 
     Returns (scaled_w, scaled_h, pad_x, pad_y) with padding centering the
     scaled image; at least one axis fills the canvas exactly.
     """
-    if width <= 0 or height <= 0:
-        raise ValueError(f"image dimensions must be positive, got {width}x{height}")
+    _image_size(width, height)
     rw, rh = plan.resized_width, plan.resized_height
     s = min(rw / width, rh / height)
     # a side far shorter than the other would round away to nothing

@@ -197,6 +197,25 @@ def test_metrics_rejects_a_tsv_line_without_a_tab(tmp_path, capsys):
     assert run(capsys, *argv) == (1, "", expect)
 
 
+@pytest.mark.parametrize("side", ["--ref", "--hyp"])
+@pytest.mark.parametrize("lineno", [1, 2])
+def test_metrics_rejects_a_tsv_line_led_by_a_byte_order_mark(tmp_path, capsys, side, lineno):
+    # the manifest's rule: a BOM would otherwise become part of the line's id
+    good = tmp_path / "good.tsv"
+    good.write_text("a\thello world\nb\tgood morning\n", encoding="utf-8")
+    bom = tmp_path / "bom.tsv"
+    lines = ["a\thello world\n", "b\tgood morning\n"]
+    lines[lineno - 1] = "\ufeff" + lines[lineno - 1]
+    bom.write_text("".join(lines), encoding="utf-8")
+    ref, hyp = (bom, good) if side == "--ref" else (good, bom)
+    code, out, err = run(capsys, "metrics", "wer", "--ref", str(ref), "--hyp", str(hyp))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {bom}:{lineno}: malformed line: Unexpected UTF-8 BOM "
+        "(decode using utf-8-sig): line 1 column 1 (char 0)\n"
+    )
+
+
 def test_metrics_rejects_duplicate_tsv_id(tmp_path, capsys):
     ref = tmp_path / "r.tsv"
     ref.write_text("a\thello world\nb\tgood morning\na\thello there\n")

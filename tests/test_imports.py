@@ -34,3 +34,25 @@ def test_no_module_imports_a_name_it_does_not_use():
     for path in sorted(set(SRC.glob("*.py")) - {SRC / "__init__.py"}):
         unused |= {(path.stem, name) for name in _unused_imports(path.read_text(encoding="utf-8"))}
     assert unused == HOOKED
+
+
+def _imported_modules(source: str) -> set[str]:
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.partition(".")[0])
+    return modules
+
+
+def test_imported_modules_finds_each_form():
+    source = "import json\nimport os.path as p\nfrom json import dumps\nfrom . import json as j\n"
+    assert _imported_modules(source) == {"json", "os"}
+
+
+def test_only_manifest_imports_json():
+    # every JSON encoder and decoder lives in manifest, so its output rules have one home
+    importers = {path.stem for path in SRC.glob("*.py")
+                 if "json" in _imported_modules(path.read_text(encoding="utf-8"))}
+    assert importers == {"manifest"}

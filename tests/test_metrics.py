@@ -254,6 +254,8 @@ class TestNgramCosines:
         assert ngram_cosines([], [], 3) == []
         assert ngram_cosines(["", "ab"], ["xy", ""], 1) == [0.0, 0.0]
         assert ngram_cosines(["", "ab"], ["", "ba"], 2) == [1.0, counter_cosine("ab", "ba", 2)]
+        # an empty side's one n-gram is padding, which "\x01" padded holds too
+        assert ngram_cosines(["", ""], ["\x01", "abc"], 3) == [1.0, 0.0]
         # anagrams have equal unigram vectors
         assert ngram_cosines(["abc"], ["cab"], 1) == [1.0]
 

@@ -89,11 +89,13 @@ class TestPlanTiles:
 
     @pytest.mark.parametrize(
         "width, height",
-        [(10**400, 1500), (1500, 10**400), (float("inf"), 1500), (1e308, 10**309)],
-        ids=["width-int-1e400", "height-int-1e400", "width-inf", "height-int-1e309"],
+        [(10**400, 1500), (1500, 10**400), (float("inf"), 1500), (1e308, 10**309),
+         (math.nan, 9), (9, math.nan)],
+        ids=["width-int-1e400", "height-int-1e400", "width-inf", "height-int-1e309",
+             "width-nan", "height-nan"],
     )
     def test_rejects_side_past_float_range(self, width, height):
-        with pytest.raises(ValueError, match="image dimensions must lie in the float range"):
+        with pytest.raises(ValueError, match="^image dimensions must lie in the float range$"):
             plan_tiles(width, height)
 
     @pytest.mark.parametrize("side", [1e308, 10**300])
@@ -151,6 +153,14 @@ class TestResizeGeometry:
     @pytest.mark.parametrize("w, h", [(0, 5), (5, 0), (-1, 5)])
     def test_rejects_non_positive_dimensions(self, w, h):
         with pytest.raises(ValueError, match="must be positive"):
+            resize_geometry(w, h, plan_tiles(5, 5, 9, 448))
+
+    @pytest.mark.parametrize(
+        "w, h", [(math.inf, 5), (5, math.inf), (math.nan, 5), (5, math.nan), (10**400, 5)],
+        ids=["width-inf", "height-inf", "width-nan", "height-nan", "width-int-1e400"],
+    )
+    def test_rejects_side_past_float_range(self, w, h):
+        with pytest.raises(ValueError, match="^image dimensions must lie in the float range$"):
             resize_geometry(w, h, plan_tiles(5, 5, 9, 448))
 
     @pytest.mark.parametrize("shape", [(0, 5, 3), (5, 0, 3)])
