@@ -17,6 +17,8 @@ from typing import Any, Callable, Iterable, Iterator
 MAX_NGRAM = 100
 # the most cells an image is split into
 MAX_SLICES = 9
+# the largest finite float: a number is in the float range when -max <= x <= max
+_FLOAT_MAX = sys.float_info.max
 
 
 class Scenario(str, Enum):
@@ -96,11 +98,15 @@ def _is_number(val: Any) -> bool:
 def _number(key: str, val: Any) -> int | float | None:
     if val is None:
         return val
+    # the common case at once: an exact int or float in the float range; a bool,
+    # a subclass or a value past the range takes the checks below
+    if (type(val) is int or type(val) is float) and -_FLOAT_MAX <= val <= _FLOAT_MAX:
+        return val
     if not _is_number(val):
         raise ValueError(f"{key} must be a number, got {type(val).__name__}")
     # NaN or Infinity from a library caller (the reader refuses them), or an
     # int past the float range, which would overflow later
-    if not -sys.float_info.max <= val <= sys.float_info.max:
+    if not -_FLOAT_MAX <= val <= _FLOAT_MAX:
         raise ValueError(f"{key} must be a finite number, got {val}")
     return val
 
@@ -124,12 +130,12 @@ def _fraction(name: str, value: Any) -> float:
 
 def _rate(name: str, value: Any) -> float:
     """`value` as a rate: a number, finite and > 0."""
-    if not (_is_number(value) and 0.0 < value <= sys.float_info.max):
+    if not (_is_number(value) and 0.0 < value <= _FLOAT_MAX):
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MediaRef:
     kind: MediaKind
     path: str
@@ -150,16 +156,16 @@ class MediaRef:
     def from_json(cls, obj: dict[str, Any]) -> "MediaRef":
         _object("media ref", obj)
         return cls(
-            kind=_media_kind(obj["kind"]),
-            path=_str("path", obj["path"]),
-            width=_number("width", obj.get("width")),
-            height=_number("height", obj.get("height")),
-            duration=_number("duration", obj.get("duration")),
-            sample_rate=_number("sample_rate", obj.get("sample_rate")),
+            _media_kind(obj["kind"]),
+            _str("path", obj["path"]),
+            _number("width", obj.get("width")),
+            _number("height", obj.get("height")),
+            _number("duration", obj.get("duration")),
+            _number("sample_rate", obj.get("sample_rate")),
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FilterVerdict:
     kept: bool
     stage: str | None = None
@@ -180,14 +186,14 @@ class FilterVerdict:
         if not isinstance(obj["kept"], bool):
             raise ValueError(f"kept must be a bool, got {type(obj['kept']).__name__}")
         return cls(
-            kept=obj["kept"],
-            stage=_str("stage", obj.get("stage"), optional=True),
-            metric_name=_str("metric_name", obj.get("metric_name"), optional=True),
-            metric_value=_number("metric_value", obj.get("metric_value")),
+            obj["kept"],
+            _str("stage", obj.get("stage"), optional=True),
+            _str("metric_name", obj.get("metric_name"), optional=True),
+            _number("metric_value", obj.get("metric_value")),
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleRecord:
     id: str
     scenario: Scenario
@@ -235,17 +241,19 @@ class SampleRecord:
         if not isinstance(media, list):
             raise ValueError(f"media must be a list of objects, got {type(media).__name__}")
         extra = {k: v for k, v in obj.items() if k not in _KNOWN_KEYS}
+        # each field checked in this order, so that a record with two faults
+        # reports the first; the call below takes them in field order
+        id_ = _str("id", obj["id"])
+        scenario = _scenario(obj["scenario"])
+        language = _language(obj["language"])
+        refs = tuple(map(MediaRef.from_json, media))
+        text = _str("text", obj.get("text", ""))
+        hypothesis = _str("hypothesis", obj.get("hypothesis"), optional=True)
+        translation = _str("translation", obj.get("translation"), optional=True)
+        source = _str("source", obj.get("source", ""))
+        verdict = FilterVerdict.from_json(obj["verdict"]) if "verdict" in obj else None
         return cls(
-            id=_str("id", obj["id"]),
-            scenario=_scenario(obj["scenario"]),
-            language=_language(obj["language"]),
-            media=tuple(MediaRef.from_json(m) for m in media),
-            text=_str("text", obj.get("text", "")),
-            hypothesis=_str("hypothesis", obj.get("hypothesis"), optional=True),
-            translation=_str("translation", obj.get("translation"), optional=True),
-            source=_str("source", obj.get("source", "")),
-            verdict=FilterVerdict.from_json(obj["verdict"]) if "verdict" in obj else None,
-            extra=extra,
+            id_, scenario, language, text, refs, hypothesis, translation, source, verdict, extra
         )
 
 
@@ -354,7 +362,7 @@ def read_keyed(
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")
-                if not line.strip():
+                if not line or line.isspace():
                     continue
                 if line.startswith("\ufeff"):  # worded as `json.loads` reports it
                     raise ValueError("Unexpected UTF-8 BOM (decode using utf-8-sig): "
@@ -370,7 +378,7 @@ def read_keyed(
 def _finite(literal: str) -> float:
     """A JSON float literal as a float; NaN, ±Infinity and 1e400 are refused."""
     value = float(literal)
-    if not -sys.float_info.max <= value <= sys.float_info.max:
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
         raise ValueError(f"{literal} is not a finite JSON number")
     return value
 

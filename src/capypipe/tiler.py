@@ -8,19 +8,19 @@ the image. Multi-cell plans get a whole-image thumbnail for global context.
 
 from __future__ import annotations
 
+import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .manifest import MAX_SLICES, _count
+from .manifest import _FLOAT_MAX, MAX_SLICES, _count
 
 PAD_GRAY = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TilePlan:
     grid_rows: int
     grid_cols: int
@@ -63,11 +63,25 @@ def grid_score(width: int, height: int, rows: int, cols: int) -> float:
 
 
 def _image_size(width: float, height: float) -> None:
-    """Refuse sides not positive or outside the float range (NaN too): plan and fit divide them."""
+    """Refuse sides outside the float range (NaN too), then sides not positive:
+    plan and fit divide them. The range comes first, so the message that quotes
+    the sides never formats an int of thousands of digits."""
+    if not (-_FLOAT_MAX <= width <= _FLOAT_MAX and -_FLOAT_MAX <= height <= _FLOAT_MAX):
+        raise ValueError("image dimensions must lie in the float range")
     if width <= 0 or height <= 0:
         raise ValueError(f"image dimensions must be positive, got {width}x{height}")
-    if not (width <= sys.float_info.max and height <= sys.float_info.max):
-        raise ValueError("image dimensions must lie in the float range")
+
+
+# one entry per (ideal, max_slices), both in 1..MAX_SLICES
+@functools.lru_cache(maxsize=MAX_SLICES * MAX_SLICES)
+def _candidate_grids(ideal: int, max_slices: int) -> tuple[tuple[int, int, int], ...]:
+    """Each (cells, rows, cols) grid of ideal - 1, ideal or ideal + 1 cells, at most max_slices."""
+    return tuple(
+        (n, r, n // r)
+        for n in range(ideal - 1, min(ideal + 1, max_slices) + 1)
+        for r in range(1, n + 1)
+        if n % r == 0
+    )
 
 
 def plan_tiles(width: int, height: int, max_slices: int = 9, cell_size: int = 448) -> TilePlan:
@@ -79,22 +93,14 @@ def plan_tiles(width: int, height: int, max_slices: int = 9, cell_size: int = 44
     cell_area = cell_size * cell_size
     ideal = max(math.ceil(min(width * height, max_slices * cell_area) / cell_area), 1)
     if ideal == 1:
-        return TilePlan(1, 1, cell_size, thumbnail=False, score=grid_score(width, height, 1, 1))
-    # each grid of ideal - 1, ideal or ideal + 1 cells, keyed so that the higher
-    # score wins, then fewer cells, then fewer rows
-    *_, rows, cols = min(
-        (-grid_score(width, height, r, n // r), n, r, n // r)
-        for n in range(ideal - 1, min(ideal + 1, max_slices) + 1)
-        for r in range(1, n + 1)
-        if n % r == 0
+        return TilePlan(1, 1, cell_size, False, grid_score(width, height, 1, 1))
+    # each grid keyed by its mismatch, -grid_score with width / height taken
+    # once, so that the higher score wins, then fewer cells, then fewer rows
+    aspect = width / height
+    mismatch, _, rows, cols = min(
+        (abs(math.log(aspect / (c / r))), n, r, c) for n, r, c in _candidate_grids(ideal, max_slices)
     )
-    return TilePlan(
-        rows,
-        cols,
-        cell_size,
-        thumbnail=rows * cols > 1,
-        score=grid_score(width, height, rows, cols),
-    )
+    return TilePlan(rows, cols, cell_size, rows * cols > 1, -mismatch)
 
 
 def resize_geometry(width: int, height: int, plan: TilePlan) -> tuple[int, int, int, int]:

@@ -28,6 +28,10 @@ COMMANDS = {
                       " --dropped {t}/dropped.jsonl --report {t}/rep"
                       " --cluster-jaccard-threshold 0.5",
     "budget": "budget --manifest {g}/budget.jsonl --out {t}/budget.jsonl",
+    "budget-slices-4-cell-336": "budget --manifest {g}/budget.jsonl --out {t}/budget.jsonl"
+                                " --max-slices 4 --cell-size 336",
+    **{f"plan-tiles-{w}x{h}": f"plan-tiles --width {w} --height {h}"
+       for w, h in ((64, 64), (5000, 64), (896, 448), (1344, 1344))},
     "stats": "stats --manifest {g}/mixed.jsonl",
     **{f"metrics-{m}": f"metrics {m} --ref {{g}}/ref.tsv --hyp {{g}}/hyp.tsv"
        for m in ("wer", "cer", "sim", "bleu")},
@@ -42,6 +46,12 @@ EXPECT = {
         "stdout": EMPTY,
         "stderr": EMPTY,
         "budget.jsonl": "d761ee596b8c4bb3acc7b8295596531ef582a9a85825450b66671a70cbfc3988",
+    },
+    "budget-slices-4-cell-336": {
+        "exit": 0,
+        "stdout": EMPTY,
+        "stderr": EMPTY,
+        "budget.jsonl": "0f3d78e63dffb8fa3a840333cc49883ee8b1add4fbdb736464e256d4101df434",
     },
     "filter-mixed": {
         "exit": 0,
@@ -85,6 +95,26 @@ EXPECT = {
     "metrics-wer": {
         "exit": 0,
         "stdout": "abd72892d80a2e777283f2283db4606b7a3a15b34c609844885154015cf49f30",
+        "stderr": EMPTY,
+    },
+    "plan-tiles-1344x1344": {
+        "exit": 0,
+        "stdout": "efdd12f073717ba6de8dcab2764c5663557ad6dcbd64f4d02ddee7f0e0463dbe",
+        "stderr": EMPTY,
+    },
+    "plan-tiles-5000x64": {
+        "exit": 0,
+        "stdout": "8708cbb9f19cb86ce66a4c571487ee5bcdf8bb44ef3a9b8b01754396fecef761",
+        "stderr": EMPTY,
+    },
+    "plan-tiles-64x64": {
+        "exit": 0,
+        "stdout": "2d6560624123a62c1f23ab13faf5bead4827ee35e31af7e0f04053cbb995d7d8",
+        "stderr": EMPTY,
+    },
+    "plan-tiles-896x448": {
+        "exit": 0,
+        "stdout": "b9a453b16807b194c4674e3fe8d14b420cc3601237802fced6da3be8e605269b",
         "stderr": EMPTY,
     },
     "stats": {

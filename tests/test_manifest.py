@@ -1,9 +1,13 @@
+import copy
 import dataclasses
 import json
 import os
+import pickle
 import re
 import stat
 import threading
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -269,6 +273,80 @@ def test_with_verdict_equals_replace(verdict):
     assert new.verdict is verdict
     assert new.extra is rec.extra and new.media is rec.media
     assert rec.verdict.stage == "dedup"
+
+
+# the order in which `SampleRecord.from_json` checks its fields
+_FIELD_FAULTS = [
+    ("id", 5, "id must be a string, got int"),
+    ("scenario", "asr", "'asr' is not a valid Scenario"),
+    ("language", "EN", "'EN' is not a valid Language"),
+    ("media", [{"kind": "Image", "path": 5}], "path must be a string, got int"),
+    ("text", [], "text must be a string, got list"),
+    ("hypothesis", 1.5, "hypothesis must be a string, got float"),
+    ("translation", True, "translation must be a string, got bool"),
+    ("source", None, "source must be a string, got NoneType"),
+    ("verdict", {"kept": 1}, "kept must be a bool, got int"),
+]
+
+
+@pytest.mark.parametrize(
+    "first, second", list(zip(_FIELD_FAULTS, _FIELD_FAULTS[1:])),
+    ids=[f"{a[0]}-{b[0]}" for a, b in zip(_FIELD_FAULTS, _FIELD_FAULTS[1:])],
+)
+def test_a_record_with_two_faults_reports_the_field_checked_first(first, second):
+    obj = {"id": "a", "scenario": "QA", "language": "ENG", "text": "t"}
+    for key, value, _ in (first, second):
+        obj[key] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(first[2])}$"):
+        SampleRecord.from_json(obj)
+
+
+_VALUES = {
+    "MediaRef": MediaRef(MediaKind.IMAGE, "i.png", 3, 4),
+    "FilterVerdict": FilterVerdict(False, "asr-filter", "wer", 0.5),
+    "SampleRecord": make_record(
+        verdict=FilterVerdict(False, "dedup", "exact-duplicate"), extra={"weights": [1, 2]}
+    ),
+    "TilePlan": plan_tiles(1000, 600, 9, 448),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VALUES))
+def test_value_classes_are_frozen_slotted_and_copy_alike(name):
+    value = _VALUES[name]
+    first = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, first, getattr(value, first))
+    assert not hasattr(value, "__dict__")
+    copies = [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+    assert copies == [value] * 3
+    if name == "SampleRecord":
+        with pytest.raises(TypeError, match="unhashable"):  # `extra` is a dict
+            hash(value)
+    else:
+        assert {hash(c) for c in copies} == {hash(value)}
+
+
+def _held_bytes(path: Path) -> int:
+    """Bytes that the records `read_manifest(path)` returns hold, by tracemalloc."""
+    read_manifest(path)  # so that no first-call allocation is counted
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = read_manifest(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 400
+    return held
+
+
+# bytes held by the 400 records of each fixture when the record classes kept a
+# __dict__ each (Python 3.11): 620 B a record on mixed.jsonl, 850 B on budget.jsonl
+@pytest.mark.parametrize("name, dict_backed", [("mixed", 247_980), ("budget", 340_189)])
+def test_decoded_records_hold_at_most_nine_tenths_of_dict_backed_ones(name, dict_backed):
+    golden = Path(__file__).resolve().parent / "golden"
+    assert _held_bytes(golden / f"{name}.jsonl") <= 0.9 * dict_backed
 
 
 class TestValidate:

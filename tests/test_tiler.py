@@ -34,7 +34,60 @@ def brute_force_plan(width, height, max_slices, cell_size):
     return best[3], best[4]
 
 
+def enumerated_grids(width, height, max_slices, cell_size):
+    """Every candidate grid, enumerated and scored on each call, as
+    (-score, cells, rows, cols); empty when the image takes one cell."""
+    cell_area = cell_size * cell_size
+    ideal = max(math.ceil(min(width * height, max_slices * cell_area) / cell_area), 1)
+    if ideal == 1:
+        return []
+    return [
+        (-grid_score(width, height, r, n // r), n, r, n // r)
+        for n in range(ideal - 1, min(ideal + 1, max_slices) + 1)
+        for r in range(1, n + 1)
+        if n % r == 0
+    ]
+
+
+def enumerated_plan(width, height, max_slices, cell_size):
+    """plan_tiles from `enumerated_grids`: (rows, cols, thumbnail, repr(score))."""
+    grids = enumerated_grids(width, height, max_slices, cell_size)
+    if not grids:
+        return 1, 1, False, repr(grid_score(width, height, 1, 1))
+    *_, rows, cols = min(grids)
+    return rows, cols, rows * cols > 1, repr(grid_score(width, height, rows, cols))
+
+
+def _sweep_sides(cell_size):
+    """Sides around each cell count: multiples of a cell and of its halves and
+    thirds, so that many aspects equal a grid's ratio or sit midway (in log)
+    between two, each as an int, one more, and a float a fraction off."""
+    sides = set()
+    for k in range(1, 13):
+        for d in (1, 2, 3):
+            side = max(cell_size * k // d, 1)
+            sides |= {side, side + 1, side + 0.25, side * 1.5}
+    return sorted(sides)
+
+
 class TestPlanTiles:
+    @pytest.mark.parametrize("cell_size", [1, 14, 448])
+    def test_matches_the_enumerated_plan_on_a_sweep(self, cell_size):
+        sides = _sweep_sides(cell_size)
+        ties = 0
+        for max_slices in range(1, 10):
+            for width in sides:
+                for height in sides:
+                    plan = plan_tiles(width, height, max_slices, cell_size)
+                    got = (plan.grid_rows, plan.grid_cols, plan.thumbnail, repr(plan.score))
+                    assert got == enumerated_plan(width, height, max_slices, cell_size), (
+                        width, height, max_slices)
+                    mismatches = [g[0] for g in enumerated_grids(width, height, max_slices,
+                                                                 cell_size)]
+                    ties += mismatches.count(min(mismatches, default=None)) > 1
+        assert ties > 0  # the sweep holds best scores that two grids share
+
+
     def test_1344_square_gives_3x3(self):
         plan = plan_tiles(1344, 1344, 9, 448)
         assert (plan.grid_rows, plan.grid_cols) == (3, 3)
@@ -90,9 +143,10 @@ class TestPlanTiles:
     @pytest.mark.parametrize(
         "width, height",
         [(10**400, 1500), (1500, 10**400), (float("inf"), 1500), (1e308, 10**309),
-         (math.nan, 9), (9, math.nan)],
+         (math.nan, 9), (9, math.nan), (-10**5000, 5), (0, 10**5000), (-math.inf, 5)],
         ids=["width-int-1e400", "height-int-1e400", "width-inf", "height-int-1e309",
-             "width-nan", "height-nan"],
+             "width-nan", "height-nan", "width-int-minus-1e5000", "height-int-1e5000",
+             "width-minus-inf"],
     )
     def test_rejects_side_past_float_range(self, width, height):
         with pytest.raises(ValueError, match="^image dimensions must lie in the float range$"):
@@ -156,8 +210,11 @@ class TestResizeGeometry:
             resize_geometry(w, h, plan_tiles(5, 5, 9, 448))
 
     @pytest.mark.parametrize(
-        "w, h", [(math.inf, 5), (5, math.inf), (math.nan, 5), (5, math.nan), (10**400, 5)],
-        ids=["width-inf", "height-inf", "width-nan", "height-nan", "width-int-1e400"],
+        "w, h",
+        [(math.inf, 5), (5, math.inf), (math.nan, 5), (5, math.nan), (10**400, 5),
+         (-10**5000, 5), (5, -math.inf)],
+        ids=["width-inf", "height-inf", "width-nan", "height-nan", "width-int-1e400",
+             "width-int-minus-1e5000", "height-minus-inf"],
     )
     def test_rejects_side_past_float_range(self, w, h):
         with pytest.raises(ValueError, match="^image dimensions must lie in the float range$"):
