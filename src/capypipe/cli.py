@@ -38,7 +38,6 @@ from .manifest import (
     dumps_record,
     read_keyed,
     read_manifest,
-    require_valid,
     write_lines,
     write_manifest,  # noqa: F401  not called here, but perfbench hooks this name
 )
@@ -221,10 +220,7 @@ def cmd_metrics(args: argparse.Namespace, config: PipelineConfig) -> list[str]:
 def cmd_filter(args: argparse.Namespace, config: PipelineConfig) -> None:
     if not args.out:
         raise CliError("filter requires --out for the kept manifest", EXIT_INVALID)
-    records = read_manifest(args.manifest)
-    # every input record is checked, once: curation adds only verdicts `validate` accepts
-    require_valid(records)
-    result = pipeline_mod.curate(records, config)
+    result = pipeline_mod.curate(read_manifest(args.manifest), config)
     outputs = [(args.out, map(dumps_record, result.kept))]
     if args.dropped:
         outputs.append((args.dropped, map(dumps_record, result.dropped)))

@@ -252,9 +252,9 @@ class SampleRecord:
         translation = _str("translation", obj.get("translation"), optional=True)
         source = _str("source", obj.get("source", ""))
         verdict = FilterVerdict.from_json(obj["verdict"]) if "verdict" in obj else None
-        return cls(
+        return _checked(cls(
             id_, scenario, language, text, refs, hypothesis, translation, source, verdict, extra
-        )
+        ))
 
 
 _KNOWN_KEYS = {f.name for f in dataclasses.fields(SampleRecord)} - {"extra"}
@@ -301,30 +301,32 @@ class PipelineConfig:
         return cls(**data)
 
 
+# bound once for `validate`, run on every record read: `MediaKind.IMAGE` costs 0.18 us on 3.11
+_ASR, _S2TT, _IMAGE, _AUDIO = Scenario.ASR, Scenario.S2TT, MediaKind.IMAGE, MediaKind.AUDIO
+_S2TT_PAIRS = (Language.ZH_ENG, Language.ENG_ZH)
+
+
 def validate(record: SampleRecord) -> list[str]:
     """Return a list of invariant violations; empty means the record is valid."""
     violations = []
     if not record.id:
         violations.append("id must be non-empty")
-    if record.scenario is Scenario.ASR:
-        audio = [m for m in record.media if m.kind is MediaKind.AUDIO]
+    if record.scenario is _ASR:
+        audio = [m for m in record.media if m.kind is _AUDIO]
         if len(audio) != 1:
             violations.append("ASR requires exactly one audio ref")
-    if record.scenario is Scenario.S2TT and record.language not in (
-        Language.ZH_ENG,
-        Language.ENG_ZH,
-    ):
+    if record.scenario is _S2TT and record.language not in _S2TT_PAIRS:
         violations.append(
             f"S2TT requires language pair ZH_ENG or ENG_ZH, got {record.language.value}"
         )
     for m in record.media:
-        if m.kind is MediaKind.IMAGE:
+        if m.kind is _IMAGE:
             for key in ("width", "height"):
                 if (val := getattr(m, key)) is not None and val <= 0:
                     violations.append(f"image {key} must be > 0, got {val}")
         elif m.duration is not None and m.duration < 0:
             violations.append(f"{m.kind.value.lower()} duration must be >= 0, got {m.duration}")
-        if m.kind is MediaKind.AUDIO and m.sample_rate is not None and m.sample_rate <= 0:
+        if m.kind is _AUDIO and m.sample_rate is not None and m.sample_rate <= 0:
             violations.append(f"audio sample_rate must be > 0, got {m.sample_rate}")
     if record.verdict is not None and not record.verdict.kept:
         if not record.verdict.stage or not record.verdict.metric_name:
@@ -332,11 +334,11 @@ def validate(record: SampleRecord) -> list[str]:
     return violations
 
 
-def require_valid(records: Iterable[SampleRecord]) -> None:
-    """Raise a `ManifestError` naming the first record that `validate` faults."""
-    for rec in records:
-        if problems := validate(rec):
-            raise ManifestError(f"record {rec.id!r} invalid: {'; '.join(problems)}")
+def _checked(record: SampleRecord) -> SampleRecord:
+    """`record`, or a `ManifestError` naming it and every fault `validate` finds."""
+    if problems := validate(record):
+        raise ManifestError(f"record {record.id!r} invalid: {'; '.join(problems)}")
+    return record
 
 
 def dumps_record(record: SampleRecord) -> str:
@@ -442,8 +444,10 @@ def write_lines(files: list[tuple[str | Path, Iterable[str]]]) -> None:
 
 
 def write_manifest(records: list[SampleRecord], path: str | Path) -> None:
-    """Write records as UTF-8 JSONL, LF-terminated, validating invariants first;
-    the file ends whole or untouched (`write_lines`), so a record that
+    """Write records as UTF-8 JSONL, LF-terminated, validating invariants first
+    (a library caller can build a record that `from_json` would refuse); the
+    file ends whole or untouched (`write_lines`), so a record that
     `dumps_record` cannot write leaves it as it was."""
-    require_valid(records)
+    for rec in records:
+        _checked(rec)
     write_lines([(path, map(dumps_record, records))])

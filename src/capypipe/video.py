@@ -8,10 +8,9 @@ applies it to video under the fps and cap, `tokens.audio_budget` to audio at
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
-from .manifest import _count, _rate
+from .manifest import _FLOAT_MAX, _count, _rate
 
 # guards float noise when durations arrive as decimal literals (e.g. 2.37 * 100)
 _EPS = 1e-6
@@ -34,7 +33,7 @@ class FrameSchedule:
 def _frames(duration: float, rate: float) -> int:
     """Whole frames in `duration` seconds at `rate` frames per second."""
     # counted in float arithmetic, so an int product too large for a float fails here
-    if not (0 <= duration <= sys.float_info.max and float(duration) * rate < math.inf):
+    if not (0 <= duration <= _FLOAT_MAX and float(duration) * rate < math.inf):
         raise ValueError(f"duration must be >= 0 with a finite frame count, got {duration}")
     return math.floor(float(duration) * rate + _EPS)
 

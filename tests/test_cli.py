@@ -808,7 +808,8 @@ def test_filter_rejects_an_invalid_input_record_whatever_its_verdict(
         "--dropped", str(dropped_path),
     )
     assert (code, out) == (1, "")
-    assert err == "error: record 'x' invalid: ASR requires exactly one audio ref\n"
+    assert err == (f"error: {src}:1: malformed record: "
+                   "record 'x' invalid: ASR requires exactly one audio ref\n")
     assert not kept_path.exists() and not dropped_path.exists()
 
 
@@ -1171,6 +1172,48 @@ def test_every_command_refuses_an_int_past_the_float_range(tmp_path, capsys, com
     assert list(tmp_path.iterdir()) == [src]
 
 
+_AUDIO = {"kind": "Audio", "path": "a.wav", "duration": 1.0}
+
+
+@pytest.mark.parametrize("command", ["filter", "budget", "stats"])
+@pytest.mark.parametrize(
+    "fields, problem",
+    [
+        ({"id": ""}, "id must be non-empty"),
+        ({"scenario": "ASR"}, "ASR requires exactly one audio ref"),
+        ({"scenario": "ASR", "media": [_AUDIO, _AUDIO]}, "ASR requires exactly one audio ref"),
+        ({"scenario": "S2TT"}, "S2TT requires language pair ZH_ENG or ENG_ZH, got ENG"),
+        ({"media": [_AUDIO, {"kind": "Image", "path": "i.png", "width": 0, "height": 9}]},
+         "image width must be > 0, got 0"),
+        ({"media": [_AUDIO, {"kind": "Image", "path": "i.png", "width": -5, "height": 9}]},
+         "image width must be > 0, got -5"),
+        ({"media": [_AUDIO, {"kind": "Video", "path": "v.mp4", "duration": -3}]},
+         "video duration must be >= 0, got -3"),
+        ({"media": [_AUDIO, {"kind": "Audio", "path": "b.wav", "duration": -3}]},
+         "audio duration must be >= 0, got -3"),
+        ({"media": [{**_AUDIO, "sample_rate": 0}]}, "audio sample_rate must be > 0, got 0"),
+        ({"verdict": {"kept": False, "metric_name": "wer"}},
+         "dropped verdict must carry stage and metric_name"),
+    ],
+    ids=[
+        "empty-id", "asr-no-audio", "asr-two-audio", "s2tt-eng", "width-zero", "width-negative",
+        "video-negative", "audio-negative", "sample-rate-zero", "dropped-no-stage",
+    ],
+)
+def test_every_command_refuses_an_invalid_record(tmp_path, capsys, command, fields, problem):
+    # a record `validate` faults is a malformed record line, refused where it is read
+    line = {"id": "a", "scenario": "QA", "language": "ENG", "text": "hi", **fields}
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps(line) + "\n")
+    argv = [command, "--manifest", str(src), "--out", str(tmp_path / "out.jsonl")]
+    if command == "filter":
+        argv += ["--dropped", str(tmp_path / "dropped.jsonl"), "--report", str(tmp_path / "rep")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {src}:1: malformed record: record {line['id']!r} invalid: {problem}\n"
+    assert list(tmp_path.iterdir()) == [src]
+
+
 @pytest.mark.parametrize("kind", ["Video", "Audio"])
 def test_filter_rejects_negative_duration_of_any_timed_ref(tmp_path, capsys, kind):
     line = {"id": "c", "scenario": "Caption", "language": "ENG", "text": "a clip",
@@ -1180,7 +1223,8 @@ def test_filter_rejects_negative_duration_of_any_timed_ref(tmp_path, capsys, kin
     kept_path = tmp_path / "kept.jsonl"
     code, out, err = run(capsys, "filter", "--manifest", str(src), "--out", str(kept_path))
     assert (code, out) == (1, "")
-    assert err == f"error: record 'c' invalid: {kind.lower()} duration must be >= 0, got -3\n"
+    assert err == (f"error: {src}:1: malformed record: "
+                   f"record 'c' invalid: {kind.lower()} duration must be >= 0, got -3\n")
     assert not kept_path.exists()
 
 
@@ -1194,24 +1238,15 @@ def _budget_line(tmp_path, capsys, *media):
 @pytest.mark.parametrize(
     "ref, message",
     [
-        ({"kind": "Image", "path": "i.png", "width": -5, "height": 9},
-         "image ref 'i.png': image dimensions must be positive"),
-        ({"kind": "Image", "path": "i.png", "width": 0, "height": 9},
-         "image ref 'i.png': image dimensions must be positive"),
         ({"kind": "Image", "path": "i.png", "width": 9}, "image ref 'i.png': lacks dimensions"),
-        ({"kind": "Video", "path": "v.mp4", "duration": -3}, "video ref 'v.mp4': duration must be"),
         ({"kind": "Video", "path": "v.mp4"}, "video ref 'v.mp4': lacks duration"),
-        ({"kind": "Audio", "path": "a.wav", "duration": -3}, "audio ref 'a.wav': duration must be"),
         ({"kind": "Audio", "path": "a.wav", "duration": 1e308},
          "audio ref 'a.wav': duration must be"),
         ({"kind": "Audio", "path": "a.wav", "duration": 10**307},
          "audio ref 'a.wav': duration must be"),
         ({"kind": "Audio", "path": "a.wav"}, "audio ref 'a.wav': lacks duration"),
     ],
-    ids=[
-        "width-negative", "width-zero", "no-height", "video-negative", "video-no-duration",
-        "audio-negative", "audio-huge", "audio-huge-int", "audio-no-duration",
-    ],
+    ids=["no-height", "video-no-duration", "audio-huge", "audio-huge-int", "audio-no-duration"],
 )
 def test_budget_names_record_and_ref_it_cannot_price(tmp_path, capsys, ref, message):
     priced = {"kind": "Audio", "path": "ok.wav", "duration": 1.0}

@@ -56,3 +56,38 @@ def test_only_manifest_imports_json():
     importers = {path.stem for path in SRC.glob("*.py")
                  if "json" in _imported_modules(path.read_text(encoding="utf-8"))}
     assert importers == {"manifest"}
+
+
+# the record rule's names: `manifest.validate`, and `require_valid`, a second
+# pass over records already decoded
+RECORD_RULE = {"validate", "require_valid"}
+
+
+def _names(source: str) -> set[str]:
+    """Every name a module reads, binds or defines, attributes included, and every
+    name it imports, as the imported module spells it."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def test_names_finds_each_form():
+    source = "from m import a as z\nimport b\ndef d(): e.f(g)\n"
+    assert _names(source) == {"a", "b", "d", "e", "f", "g"}
+
+
+def test_only_manifest_names_the_record_rule():
+    # `SampleRecord.from_json` validates each record it decodes, so every command
+    # reads records by one rule and none checks them again
+    named = {path.stem: RECORD_RULE & _names(path.read_text(encoding="utf-8"))
+             for path in SRC.glob("*.py") if path.stem != "manifest"}
+    # the package's __init__ re-exports `validate` for library callers
+    assert {stem: names for stem, names in named.items() if names} == {"__init__": {"validate"}}
