@@ -2,9 +2,9 @@
 
 JSON results go to stdout (or --out); diagnostics go to stderr. Each
 subcommand but `filter` returns its output lines, and `dispatch` alone writes
-them; `budget` returns them as a generator, so that each record is read, priced
-and written before the next is decoded. `filter` writes its kept, dropped and
-report files itself, together.
+them; `budget` returns them as a generator of `tokens.TokenLayout.json_line`
+texts, so that each record is read, priced and written before the next is
+decoded. `filter` writes its kept, dropped and report files itself, together.
 Every output file goes through `manifest.write_lines`, which refuses two that
 name one file; `filter` makes its --report directory first, so a fault there is
 reported first, and a failed run removes each directory it made.
@@ -164,10 +164,7 @@ def cmd_plan_tiles(args: argparse.Namespace, config: PipelineConfig) -> list[str
 
 def cmd_budget(args: argparse.Namespace, config: PipelineConfig) -> Iterator[str]:
     for rec in _records(args.manifest):
-        layout = tokens_mod.assemble_layout(rec, config)
-        # the text `_dumps({"id": rec.id, **layout.to_json()})` gives, without the dicts
-        segments = layout.segments_json()
-        yield f'{{"id":{_dumps(rec.id)},"total":{layout.total},"segments":{segments}}}'
+        yield tokens_mod.assemble_layout(rec, config).json_line(rec.id)
 
 
 def cmd_audio_profile(args: argparse.Namespace, config: PipelineConfig) -> list[str]:

@@ -411,36 +411,72 @@ def write_lines(files: list[tuple[str | Path, Iterable[str]]]) -> None:
     """Write each (path, lines) pair's lines, LF-terminated, as UTF-8, so that
     the files end whole or untouched together: every file's lines go to a temp
     file beside it, and only when all are written do the temp files replace
-    their targets. Two paths naming one file (by `os.path.realpath`) are
-    refused before any is written, by a `ValueError` naming both as given, the
-    earlier first. An existing non-regular file (a device, a pipe) is written
-    in place, since replacing it would not reach the reader behind it. An
-    `OSError` names the target path, not its temp file."""
+    their targets. Each existing target is first hard-linked to a backup beside
+    it, so that when a rename fails, the targets already replaced get their old
+    entries back and the new ones are removed; a target whose link is refused
+    (`PermissionError`, as on a filesystem without hard links) stays replaced.
+    Two paths naming one file (by `os.path.realpath`) are refused before any is
+    written, by a `ValueError` naming both as given, the earlier first. An
+    existing non-regular file (a device, a pipe) is written in place, since
+    replacing it would not reach the reader behind it. An `OSError` names the
+    target path, not its temp file, and each backup it could not put back."""
     first: dict[str, int] = {}
     for i, (path, _) in enumerate(files):
         if (j := first.setdefault(os.path.realpath(path), i)) != i:
             raise ValueError(f"outputs {files[j][0]} and {path} name one file")
-    renames: list[tuple[str, str | Path]] = []
+    renames: list[tuple[str, str | Path, str]] = []  # (temp, target, backup)
+    # each target whose old state a failed rename can put back: its backup, or
+    # None where it did not exist
+    backups: dict[str | Path, str | None] = {}
+    done = 0
     try:
         for i, (path, lines) in enumerate(files):
             if os.path.exists(path) and not os.path.isfile(path):
-                target = path
+                temp = path
             else:
                 head, name = os.path.split(path)
-                target = os.path.join(head, f".{name}.{os.getpid()}.{i}.tmp")
-                renames.append((target, path))
+                stem = os.path.join(head, f".{name}.{os.getpid()}.{i}")
+                temp = f"{stem}.tmp"
+                renames.append((temp, path, f"{stem}.bak"))
             # a plain open, not mkstemp, so that the file's mode follows the umask
-            with open(target, "w", encoding="utf-8", newline="\n") as fh:
+            with open(temp, "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines(f"{line}\n" for line in lines)
-        for target, path in renames:
-            os.replace(target, path)
+        for _, path, backup in renames:
+            try:
+                # the entry itself, so that a symlink comes back as a symlink
+                os.link(path, backup, follow_symlinks=False)
+                backups[path] = backup
+            except FileNotFoundError:
+                backups[path] = None
+            except PermissionError:  # refused, as where there are no hard links
+                pass
+        for temp, path, _ in renames:
+            os.replace(temp, path)
+            done += 1
     except BaseException as exc:
-        for target, _ in renames:
+        for temp, _, _ in renames[done:]:
             with contextlib.suppress(OSError):
-                os.remove(target)
+                os.remove(temp)
+        stranded = ""
+        for _, target, _ in renames[:done]:
+            if target not in backups:
+                continue
+            backup = backups.pop(target)
+            try:
+                if backup is None:
+                    os.remove(target)
+                else:
+                    os.replace(backup, target)
+            except OSError as undo:
+                if backup is not None:
+                    stranded += f"; {target} keeps its old bytes in {backup} ({undo.strerror})"
         if isinstance(exc, OSError):
-            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+            raise OSError(exc.errno, f"{exc.strerror}{stranded}", os.fspath(path)) from exc
         raise
+    finally:
+        for backup in filter(None, backups.values()):
+            with contextlib.suppress(OSError):
+                os.remove(backup)
 
 
 def write_manifest(records: list[SampleRecord], path: str | Path) -> None:

@@ -99,6 +99,7 @@ _NEAR_DUPLICATE = FilterVerdict(kept=False, stage="near-duplicate-cluster", metr
 _NO_HYPOTHESIS = FilterVerdict(kept=False, stage="asr-filter", metric_name="no-hypothesis")
 _EMPTY_REFERENCE = FilterVerdict(kept=False, stage="asr-filter", metric_name="empty-reference")
 _NO_TRANSLATION = FilterVerdict(kept=False, stage="s2tt-filter", metric_name="no-translation")
+_ZH = Language.ZH  # bound once for `_asr_verdicts`, run on every ASR record
 
 
 def _run(records, stages, config: PipelineConfig) -> PipelineResult:
@@ -400,7 +401,7 @@ def _asr_verdicts(records, config, norm):
         if rec.hypothesis is None:
             verdicts.append(_NO_HYPOTHESIS)
             continue
-        name = "cer" if rec.language is Language.ZH else "wer"
+        name = "cer" if rec.language is _ZH else "wer"
         try:
             rate = error_rate(name, rec.text, rec.hypothesis, norm)
         except ValueError:  # no rate is defined: the reference is empty after normalization

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import tiler, video
-from .manifest import MediaKind, MediaRef, PipelineConfig, SampleRecord, _count
+from .manifest import MediaKind, MediaRef, PipelineConfig, SampleRecord, _COMPACT_JSON, _count
 from .tiler import EmbeddingGrid, TilePlan
 
 VIT_TOKENS = 1024
@@ -24,6 +24,7 @@ COMPRESSED_GRID = (16, 16)
 COMPRESSED_TOKENS = 256
 ROW_BREAKS_PER_UNIT = 16
 UNIT_TOKENS = COMPRESSED_TOKENS + ROW_BREAKS_PER_UNIT  # 272
+_IMAGE, _VIDEO = MediaKind.IMAGE, MediaKind.VIDEO  # bound once: `_media_runs` reads them per ref
 
 
 class SegmentKind(str, Enum):
@@ -70,13 +71,14 @@ class TokenLayout:
             "segments": [{"kind": k, "count": c} for k, c in self.segments],
         }
 
-    def segments_json(self) -> str:
-        """`to_json()["segments"]` as compact JSON text: each run's block, one
-        cached fragment, repeated as the run says."""
-        parts = [_block_json(block) * repeat for block, repeat in self.runs]
-        if parts:
-            parts[0] = parts[0][1:]  # every segment opens with its comma but the first
-        return f"[{''.join(parts)}]"
+    def json_line(self, sample_id: str) -> str:
+        """The text `_COMPACT_JSON.encode({"id": sample_id, **self.to_json()})` gives,
+        in one join: each run's block is one cached fragment, repeated as the run says."""
+        head = f'{{"id":{_COMPACT_JSON.encode(sample_id)},"total":{self.total},"segments":['
+        runs = [_block_json(block) * repeat for block, repeat in self.runs]
+        if runs:
+            runs[0] = runs[0][1:]  # every segment opens with its comma but the first
+        return "".join([head, *runs, "]}"])
 
 
 # bounded, since audio and text blocks take one entry per distinct count; an
@@ -136,14 +138,14 @@ def text_budget(text: str) -> int:
 
 
 def _media_runs(ref: MediaRef, config: PipelineConfig) -> tuple[Run, ...]:
-    if ref.kind is MediaKind.IMAGE:
+    if ref.kind is _IMAGE:
         if ref.width is None or ref.height is None:
             raise ValueError("lacks dimensions")
         plan = tiler.plan_tiles(ref.width, ref.height, config.max_slices, config.cell_size)
         return _unit_runs(SegmentKind.IMAGE_UNIT, plan.units)
     if ref.duration is None:
         raise ValueError("lacks duration")
-    if ref.kind is MediaKind.VIDEO:
+    if ref.kind is _VIDEO:
         frames = video.frame_count(ref.duration, config.video_fps, config.video_frame_cap)
         return _unit_runs(SegmentKind.VIDEO_FRAME, frames)
     count = audio_budget(ref.duration)

@@ -598,6 +598,67 @@ def test_filter_replaces_no_output_when_a_later_one_fails(tmp_path, capsys):
     assert os.listdir(reports) == ["dedup.json"]
 
 
+def _replace_failing_at(k, targets):
+    """`os.replace` that records each target and raises EIO at the k-th call."""
+    replace = os.replace
+
+    def failing(src, dst, *args, **kwargs):
+        targets.append(dst)
+        if len(targets) == k:
+            raise OSError(errno.EIO, os.strerror(errno.EIO), src, dst)
+        return replace(src, dst, *args, **kwargs)
+
+    return failing
+
+
+def _tree(root):
+    """Every path under `root`, with a file's bytes or None for a directory."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize(
+    "command, existing",
+    [("filter", True), ("filter", False), ("budget", True)],
+    ids=["filter-over-existing", "filter-to-fresh", "budget-over-existing"],
+)
+def test_a_failed_rename_leaves_every_output_as_it_was(tmp_path, capsys, monkeypatch, command,
+                                                        existing):
+    # each `os.replace` of a run fails in turn, the renames of the targets
+    # already replaced included; fresh outputs and the --report directory go
+    src = tmp_path / "in.jsonl"
+    write_manifest([make_record(id=i, scenario=Scenario.QA, text="some text here")
+                    for i in "ab"], src)
+    if command == "filter":
+        argv = ["filter", "--manifest", str(src), "--out", str(tmp_path / "kept.jsonl"),
+                "--dropped", str(tmp_path / "dropped.jsonl"),
+                "--report", str(tmp_path / "reports")]
+    else:
+        argv = ["budget", "--manifest", str(src), "--out", str(tmp_path / "out.jsonl")]
+    targets = []  # one rename per output, in the order written
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", _replace_failing_at(0, targets))
+        assert run(capsys, *argv)[0] == 0
+    assert len(targets) == {"filter": 5, "budget": 1}[command]
+    for path in sorted(tmp_path.rglob("*"), reverse=True):  # files before their directory
+        if path == src:
+            continue
+        if existing:
+            if path.is_file():
+                path.write_bytes(f"old {path.name}\n".encode())
+        elif path.is_dir():
+            path.rmdir()
+        else:
+            path.unlink()
+    before = _tree(tmp_path)
+    for k, target in enumerate(targets, start=1):
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", _replace_failing_at(k, []))
+            got = run(capsys, *argv)
+        assert got == (2, "", f"error: cannot write {target}: {os.strerror(errno.EIO)}\n"), k
+        assert _tree(tmp_path) == before, k
+
+
 @pytest.mark.parametrize(
     "out, flag, other, message",
     [("o.jsonl", "--dropped", "o.jsonl", "o.jsonl and o.jsonl"),

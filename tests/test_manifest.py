@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import errno
 import json
 import os
 import pickle
@@ -178,6 +179,64 @@ def test_write_lines_refuses_two_paths_naming_one_file(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match=r"^outputs a\.txt and \./a\.txt name one file$"):
         write_lines([("a.txt", ["1"]), ("./a.txt", ["2"])])
     assert os.listdir(tmp_path) == []
+
+
+def _failing_replace(monkeypatch, *calls):
+    """Make the given calls of `os.replace`, counted from 1, raise EIO."""
+    replace, count = os.replace, []
+
+    def failing(src, dst):
+        count.append(dst)
+        if len(count) in calls:
+            raise OSError(errno.EIO, os.strerror(errno.EIO), src, dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
+
+
+def test_a_failed_rename_removes_new_targets_and_puts_back_old_entries(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("real.txt").write_bytes(b"real\n")
+    os.symlink("real.txt", "link")
+    Path("old.txt").write_bytes(b"old\n")
+    _failing_replace(monkeypatch, 3)
+    with pytest.raises(OSError, match=r"^\[Errno 5\] Input/output error: 'old\.txt'$"):
+        write_lines([("new.txt", ["1"]), ("link", ["2"]), ("old.txt", ["3"])])
+    assert sorted(os.listdir()) == ["link", "old.txt", "real.txt"]
+    assert os.readlink("link") == "real.txt"
+    assert (Path("real.txt").read_bytes(), Path("old.txt").read_bytes()) == (b"real\n", b"old\n")
+
+
+def test_a_target_whose_link_is_refused_stays_replaced(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in ("a.txt", "b.txt"):
+        Path(name).write_bytes(b"old\n")
+
+    def refused(src, dst, **kwargs):
+        raise PermissionError(errno.EPERM, os.strerror(errno.EPERM), src, dst)
+
+    monkeypatch.setattr(os, "link", refused)
+    _failing_replace(monkeypatch, 2)
+    with pytest.raises(OSError, match=r"'b\.txt'$"):
+        write_lines([("a.txt", ["new"]), ("b.txt", ["new"])])
+    assert sorted(os.listdir()) == ["a.txt", "b.txt"]
+    assert (Path("a.txt").read_bytes(), Path("b.txt").read_bytes()) == (b"new\n", b"old\n")
+
+
+def test_a_backup_that_cannot_be_put_back_is_kept_and_named(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in ("a.txt", "b.txt"):
+        Path(name).write_bytes(b"old\n")
+    _failing_replace(monkeypatch, 2, 3)  # the second rename, then the first one's undo
+    backup = f".a.txt.{os.getpid()}.0.bak"
+    with pytest.raises(OSError) as caught:
+        write_lines([("a.txt", ["new"]), ("b.txt", ["new"])])
+    eio = os.strerror(errno.EIO)
+    assert (caught.value.filename, caught.value.strerror) == (
+        "b.txt", f"{eio}; a.txt keeps its old bytes in {backup} ({eio})")
+    assert sorted(os.listdir()) == [backup, "a.txt", "b.txt"]
+    assert [Path(p).read_bytes() for p in (backup, "a.txt", "b.txt")] == [b"old\n", b"new\n",
+                                                                           b"old\n"]
 
 
 def test_unknown_fields_round_trip(tmp_path):

@@ -1,5 +1,5 @@
-"""No code under src/capypipe but `manifest.write_lines` writes, renames or
-removes a file, by builtin `open`, `wave.open` or `os`: an AST check, on the
+"""No code under src/capypipe but `manifest.write_lines` writes, links, renames
+or removes a file, by builtin `open`, `wave.open` or `os`: an AST check, on the
 standard library alone. Every output then ends whole or untouched, and two
 outputs naming one file are refused, in one place."""
 
@@ -10,9 +10,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "capypipe"
 
 
 def _file_write(call: ast.Call) -> str | None:
-    """The call's name if it writes, renames or removes a file, else None."""
+    """The call's name if it writes, links, renames or removes a file, else None."""
     name = ast.unparse(call.func)
-    if name in ("os.replace", "os.rename", "os.remove"):
+    if name in ("os.link", "os.replace", "os.rename", "os.remove"):
         return name
     if name not in ("open", "wave.open"):
         return None
@@ -29,9 +29,9 @@ def _file_write(call: ast.Call) -> str | None:
 
 
 def _file_writes(source: str) -> set[tuple[str, str]]:
-    """(scope, call name) for each call of the source that writes, renames or
-    removes a file; the scope is the dotted name of the enclosing functions and
-    classes, '' at module level."""
+    """(scope, call name) for each call of the source that writes, links,
+    renames or removes a file; the scope is the dotted name of the enclosing
+    functions and classes, '' at module level."""
     found = set()
 
     def visit(node: ast.AST, scope: str) -> None:
@@ -58,6 +58,7 @@ def test_file_writes_finds_each_kind():
         "            os.replace(p, p); open(p, m); os.remove(p)\n"
         "def h(p):\n"
         "    with open(p, 'r+') as fh: os.rename(p, p)\n"
+        "    os.link(p, p)\n"
     )
     assert _file_writes(source) == {
         ("f", "open"),
@@ -67,6 +68,7 @@ def test_file_writes_finds_each_kind():
         ("f.C.g", "os.remove"),
         ("h", "open"),
         ("h", "os.rename"),
+        ("h", "os.link"),
     }
 
 

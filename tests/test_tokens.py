@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capypipe.manifest import Language, MediaKind, MediaRef, PipelineConfig, Scenario
+from capypipe.manifest import (
+    _COMPACT_JSON,
+    Language,
+    MediaKind,
+    MediaRef,
+    PipelineConfig,
+    Scenario,
+)
 from capypipe.tiler import EmbeddingGrid, TilePlan, plan_tiles
 from capypipe.tokens import (
     COMPRESSED_TOKENS,
@@ -268,3 +275,46 @@ class TestAssembleLayout:
         plan = plan_tiles(1344, 1344, 9, 448)
         layout = assemble_layout(rec, PipelineConfig(max_slices=9, cell_size=448))
         assert layout.total == image_budget(plan).total + text_budget(rec.text)
+
+
+def _priced(*media, text="", **config):
+    rec = make_record(scenario=Scenario.QA, media=media, text=text)
+    return assemble_layout(rec, PipelineConfig(**config))
+
+
+def _video(duration):
+    return MediaRef(kind=MediaKind.VIDEO, path="v.mp4", duration=duration)
+
+
+def _image(width, height):
+    return MediaRef(kind=MediaKind.IMAGE, path="i.png", width=width, height=height)
+
+
+LAYOUTS = {
+    "no-segments": lambda: TokenLayout(()),
+    "text": lambda: _priced(text="three word answer"),
+    "audio-1-token": lambda: _priced(audio_ref(duration=0.04)),
+    "image-1-unit": lambda: image_budget(TilePlan(1, 1, 448, thumbnail=False, score=0.0)),
+    "image-2-units": lambda: image_budget(TilePlan(1, 2, 448, thumbnail=False, score=0.0)),
+    "image-5-units": lambda: image_budget(TilePlan(2, 2, 448, thumbnail=True, score=0.0)),
+    "image-10-units": lambda: image_budget(TilePlan(3, 3, 448, thumbnail=True, score=0.0)),
+    "video-1-frame": lambda: _priced(_video(0.5)),
+    "video-2-frames": lambda: _priced(_video(2.0)),
+    "video-128-frames": lambda: _priced(_video(500.0)),
+    "video-3600-frames": lambda: _priced(_video(3600.0), video_frame_cap=3600),
+    "four-refs": lambda: _priced(_image(1344, 1344), _video(10.0), audio_ref(duration=3.0),
+                                 _image(300, 300), text="one two three"),
+}
+
+
+# ids that JSON escapes, or writes as they are since `ensure_ascii` is off
+SAMPLE_IDS = {"quote": 'a"b', "backslash": "a\\b", "control": "a\x01\nb", "u2028": "a\u2028b",
+              "non-bmp": "a\U0001f600b", "cjk": "样本"}
+
+
+@pytest.mark.parametrize("sample_id", SAMPLE_IDS.values(), ids=list(SAMPLE_IDS))
+@pytest.mark.parametrize("layout", LAYOUTS, ids=list(LAYOUTS))
+def test_json_line_is_the_compact_json_of_the_line_object(layout, sample_id):
+    layout = LAYOUTS[layout]()
+    assert layout.json_line(sample_id) == _COMPACT_JSON.encode({"id": sample_id,
+                                                                **layout.to_json()})
